@@ -19,14 +19,14 @@ import csv
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 import scipy
 
-from . import generator_probe, geometry, mc_simulator, sde_model, theorem_checker
+from . import generator_probe, geometry, mc_simulator, mollifier, sde_model, theorem_checker
 from .errors import ConfigError, ViabilityError
 from .theorem_checker import CheckerConfig
 
@@ -38,15 +38,12 @@ VERDICT_OBS_ONLY = "not_predicted_observed"
 VERDICT_NEITHER = "not_predicted_not_observed"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
+# CheckerConfig holds the checker defaults; the root seed feeds its seed, and
+# regularity_box is library-only. Tuples are echoed as JSON lists.
 CHECK_DEFAULTS = {
-    "eps_grid": [0.2, 0.1, 0.05, 0.025],
-    "samples_per_eps": 200,
-    "delta_abs": 0.05,
-    "delta_margin": 1e-3,
-    "p_min": 1.5,
-    "time_grid": [0.0],
-    "lipschitz_L": 10.0,
-    "regularity_pairs": 200,
+    f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+    for f in fields(CheckerConfig)
+    if f.name not in ("seed", "regularity_box")
 }
 PROBE_DEFAULTS = {
     "eps": 0.1,
@@ -65,8 +62,8 @@ SIM_DEFAULTS = {
     "p_max": 1e-3,
 }
 QUAD_DEFAULTS = {
-    "nodes_per_axis": 24,
-    "qmc_points": 65536,
+    "nodes_per_axis": mollifier.DEFAULT_NODES_PER_AXIS,
+    "qmc_points": mollifier.DEFAULT_QMC_POINTS,
 }
 
 
@@ -143,6 +140,8 @@ def resolve_config(raw: dict) -> dict:
     quad = cfg["quad"]
     if quad["nodes_per_axis"] < 4:
         raise ConfigError("quad.nodes_per_axis must be >= 4")
+    if quad["qmc_points"] < 1:
+        raise ConfigError("quad.qmc_points must be >= 1")
 
     return cfg
 
@@ -218,6 +217,7 @@ def _run_probe(model, domain, cfg, threads):
         int(cfg["seed"]),
         tol_shell_factor=float(probe["tol_shell_factor"]),
         nodes_per_axis=int(cfg["quad"]["nodes_per_axis"]),
+        qmc_points=int(cfg["quad"]["qmc_points"]),
         threads=threads,
     )
 

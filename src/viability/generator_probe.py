@@ -84,6 +84,7 @@ def shell_sign_check(
     tol_shell: float | None = None,
     tol_shell_factor: float = 1.0,
     nodes_per_axis: int = mollifier.DEFAULT_NODES_PER_AXIS,
+    qmc_points: int = mollifier.DEFAULT_QMC_POINTS,
     threads: int = 1,
 ) -> ShellProbeResult:
     """Sample the shell and test min A eta_eps >= -tolerance.
@@ -109,7 +110,9 @@ def shell_sign_check(
     if bad:
         raise ValueError(f"probe produced off-shell points: {set(bad)}")
 
-    ind = SmoothedIndicator(domain, eps, nodes_per_axis=nodes_per_axis)
+    ind = SmoothedIndicator(
+        domain, eps, nodes_per_axis=nodes_per_axis, qmc_points=qmc_points
+    )
 
     def evaluate(p):
         return apply_generator(model, ind, s, p)
@@ -160,14 +163,12 @@ def sample_initial_cloud(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
         )
         n = domain.dimension
-        pts = np.empty((count, n))
-        have = 0
-        while have < count:
+
+        def draw():
             cand = rng.uniform(-radius, radius, size=(256, n))
-            keep = cand[np.sum(cand * cand, axis=1) <= radius * radius]
-            take = min(count - have, keep.shape[0])
-            pts[have : have + take] = center + keep[:take]
-            have += take
+            return cand[np.sum(cand * cand, axis=1) <= radius * radius]
+
+        pts = center + geometry.rejection_fill(count, n, draw)
     else:
         raise ValueError(f"unknown initial cloud kind: {kind!r}")
     levels = np.asarray(domain.level_fn(pts))

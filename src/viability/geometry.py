@@ -332,20 +332,32 @@ def _sampler_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
 
 
-def _unit_directions(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    """Uniform directions; draws in fixed-size batches so that a longer request
-    extends a shorter one drawn from the same stream."""
+def rejection_fill(count: int, n: int, draw: Callable[[], np.ndarray]) -> np.ndarray:
+    """Fill count rows of width n from the accepted rows of repeated draws.
+
+    Each draw() call makes one fixed-size batch of random draws and returns
+    the rows it accepts, in order. Because the batches never depend on count,
+    a longer request extends a shorter one drawn from the same stream.
+    """
     out = np.empty((count, n))
     have = 0
     while have < count:
-        batch = rng.standard_normal((256, n))
-        norms = np.linalg.norm(batch, axis=1)
-        keep = batch[norms > 1e-12]
-        keep = keep / np.linalg.norm(keep, axis=1)[:, None]
+        keep = draw()
         take = min(count - have, keep.shape[0])
         out[have : have + take] = keep[:take]
         have += take
     return out
+
+
+def _unit_directions(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """Uniform directions, drawn in batches of 256 normal vectors."""
+
+    def draw():
+        batch = rng.standard_normal((256, n))
+        keep = batch[np.linalg.norm(batch, axis=1) > 1e-12]
+        return keep / np.linalg.norm(keep, axis=1)[:, None]
+
+    return rejection_fill(count, n, draw)
 
 
 def _boundary_points_ball(domain, rng, count):
@@ -361,17 +373,13 @@ def _boundary_points_ellipsoid(domain, rng, count):
     a = domain.params["semiaxes"]
     n = domain.dimension
     a_min = float(np.min(a))
-    out = np.empty((count, n))
-    have = 0
-    while have < count:
+
+    def draw():
         v = _unit_directions(rng, 256, n)
         w = np.linalg.norm(v / a[None, :], axis=1) * a_min  # in (0, 1]
-        accept = rng.random(256) < w
-        keep = v[accept]
-        take = min(count - have, keep.shape[0])
-        out[have : have + take] = keep[:take]
-        have += take
-    return domain.center[None, :] + out * a[None, :]
+        return v[rng.random(256) < w]
+
+    return domain.center[None, :] + rejection_fill(count, n, draw) * a[None, :]
 
 
 def _boundary_points_p_ball(domain, rng, count):
@@ -380,20 +388,16 @@ def _boundary_points_p_ball(domain, rng, count):
     # which is at most 1 on the sphere for even p >= 2, so rejection applies.
     r, p = domain.params["radius"], domain.params["p"]
     n = domain.dimension
-    out = np.empty((count, n))
-    have = 0
-    while have < count:
+
+    def draw():
         g = rng.gamma(1.0 / p, 1.0, size=(256, n))
         signs = rng.integers(0, 2, size=(256, n)) * 2 - 1
         u = signs * g ** (1.0 / p)
         u = u / (np.sum(g, axis=1) ** (1.0 / p))[:, None]
         w = np.sqrt(np.sum(u ** (2 * p - 2), axis=1))
-        accept = rng.random(256) < w
-        keep = u[accept]
-        take = min(count - have, keep.shape[0])
-        out[have : have + take] = keep[:take]
-        have += take
-    return domain.center[None, :] + r * out
+        return u[rng.random(256) < w]
+
+    return domain.center[None, :] + r * rejection_fill(count, n, draw)
 
 
 def sample_offset_boundary(

@@ -1,10 +1,11 @@
 """Euler-Maruyama simulation, first-exit detection, and exit-probability CIs.
 
 Every path owns a counter-based random stream keyed by (seed, path index), and
-increments are drawn in fixed windows of WINDOW steps. Both choices exist for
-reproducibility: a path simulated alone consumes its stream exactly as the
-same path inside a vectorized block, so results are bit-identical for any
-batching or thread count, and any single path can be replayed in isolation.
+increments are drawn in fixed windows of WINDOW steps. Every time step runs in
+one block loop, _simulate_block, and a path simulated alone is a block of one,
+so it matches the same path inside any batch bit for bit by construction.
+Estimates are bit-identical for any batching or thread count, and any single
+path can be replayed in isolation.
 """
 
 from __future__ import annotations
@@ -67,16 +68,17 @@ def em_step(model: SdeModel, t: float, x, dt: float, dW) -> np.ndarray:
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    x = np.asarray(x, dtype=float)
-    dW = np.asarray(dW, dtype=float)
-    out = x + model.drift(t, x) * dt
-    for k, col in enumerate(model.diffusion_columns):
-        if x.ndim > 1:
-            out = out + col(t, x) * dW[..., k : k + 1]
-        else:
-            out = out + col(t, x) * dW[k]
+    out = _em_update(model, t, np.asarray(x, float), dt, np.asarray(dW, float))
     if not np.all(np.isfinite(out)):
         raise NonFinite("state overflowed during an Euler-Maruyama step")
+    return out
+
+
+def _em_update(model, t, x, dt, dW):
+    """x + a dt + sum_k b_k dW_k for a state (n,) or a batch (m, n)."""
+    out = x + model.drift(t, x) * dt
+    for k, col in enumerate(model.diffusion_columns):
+        out = out + col(t, x) * dW[..., k : k + 1]
     return out
 
 
@@ -84,6 +86,57 @@ def _n_steps(T: float, dt: float) -> int:
     if dt <= 0.0 or T <= 0.0 or dt > T:
         raise ValueError("need 0 < dt <= T")
     return max(1, int(round(T / dt)))
+
+
+def _simulate_block(model, domain, starts, T, dt, seed, first_index):
+    """The Euler-Maruyama time loop for a block of paths.
+
+    Row i is path first_index + i and draws its increments from the stream
+    keyed by (seed, first_index + i), one (WINDOW, n) array per window while
+    it is live. A path stops after the first step that overflows or leaves
+    the domain (never when domain is None). Returns per-path arrays (states,
+    steps, exited, nonfinite): the state and step count at the stop or the
+    horizon, and which of the two stops ended the path.
+    """
+    n_steps = _n_steps(T, dt)
+    B, n = starts.shape
+    gens = [path_generator(seed, first_index + i) for i in range(B)]
+    x = np.array(starts, dtype=float)  # states of the live paths
+    states = x.copy()
+    steps = np.full(B, n_steps)
+    exited, nonfinite = np.zeros((2, B), dtype=bool)
+    live = np.arange(B)  # path of each row of x
+
+    def stop(mask, flag, taken):
+        """Record the rows in mask as stopped after `taken` steps, drop them."""
+        nonlocal live, rows, x
+        flag[live[mask]] = True
+        states[live[mask]] = x[mask]
+        steps[live[mask]] = taken
+        live, rows, x = live[~mask], rows[~mask], x[~mask]
+
+    for start in range(0, n_steps, WINDOW):
+        if not live.size:
+            break
+        # Per-path arrays, then stacked. Drawing into one preallocated array
+        # gives the same values, but later eta evaluations in the process ran
+        # 30-50% slower: the heap left behind by these arrays stays faulted in.
+        dW = np.stack([gens[i].standard_normal((WINDOW, n)) for i in live])
+        dW *= np.sqrt(dt)
+        rows = np.arange(live.size)  # row of dW for each row of x
+        for s in range(start, min(start + WINDOW, n_steps)):
+            x = _em_update(model, s * dt, x, dt, dW[rows, s - start])
+            bad = ~np.all(np.isfinite(x), axis=1)
+            if bad.any():
+                stop(bad, nonfinite, s + 1)
+            if domain is not None:
+                out = np.asarray(signed_level(domain, x)) > 0.0
+                if out.any():
+                    stop(out, exited, s + 1)
+            if not live.size:
+                break
+    states[live] = x
+    return states, steps, exited, nonfinite
 
 
 def simulate_path(
@@ -99,78 +152,20 @@ def simulate_path(
 
     Exit is detected by the domain level function after each step, so the
     recorded exit time has resolution dt (no within-step interpolation). The
-    increments come from the stream keyed by (seed, path_index).
+    path is a block of one inside the batch loop, drawing from the stream
+    keyed by (seed, path_index).
     """
     x = np.asarray(x0, dtype=float)
     if signed_level(domain, x) > 0.0:
         raise ImmediateExit(f"start point {x!r} lies outside the domain")
-    n = model.dimension
-    n_steps = _n_steps(T, dt)
-    gen = path_generator(seed, path_index)
-    sqdt = np.sqrt(dt)
-    step = 0
-    while step < n_steps:
-        dW = gen.standard_normal((WINDOW, n)) * sqdt
-        w = min(WINDOW, n_steps - step)
-        for j in range(w):
-            t = (step + j) * dt
-            x = em_step(model, t, x, dt, dW[j])
-            if signed_level(domain, x) > 0.0:
-                return PathResult(True, (step + j + 1) * dt, x, step + j + 1)
-        step += w
-    return PathResult(False, None, x, n_steps)
-
-
-def _simulate_block(model, domain, starts, T, dt, seed, first_index, stop_on_exit):
-    """Vectorized block of paths sharing the window layout of simulate_path.
-
-    Returns (exit count, nonfinite count, final states). With stop_on_exit
-    False, all paths run to the horizon (used for expectation estimates).
-    """
-    B, n = starts.shape
-    n_steps = _n_steps(T, dt)
-    gens = [path_generator(seed, first_index + i) for i in range(B)]
-    x = starts.copy()
-    alive = np.ones(B, dtype=bool)
-    exits = 0
-    nonfinite = 0
-    sqdt = np.sqrt(dt)
-    step = 0
-    while step < n_steps and (alive.any() or not stop_on_exit):
-        dW = np.stack([g.standard_normal((WINDOW, n)) for g in gens]) * sqdt
-        w = min(WINDOW, n_steps - step)
-        for j in range(w):
-            t = (step + j) * dt
-            if stop_on_exit:
-                sub = alive
-                if not sub.any():
-                    break
-                xa = x[sub]
-                xa_new = xa + model.drift(t, xa) * dt
-                for k, col in enumerate(model.diffusion_columns):
-                    xa_new = xa_new + col(t, xa) * dW[sub, j, k][:, None]
-                x[sub] = xa_new
-                finite = np.all(np.isfinite(xa_new), axis=1)
-                if not finite.all():
-                    idx = np.where(sub)[0][~finite]
-                    alive[idx] = False
-                    nonfinite += int((~finite).sum())
-                lev = signed_level(domain, x[alive])
-                out = np.asarray(lev) > 0.0
-                if out.any():
-                    idx = np.where(alive)[0][out]
-                    alive[idx] = False
-                    exits += int(out.sum())
-            else:
-                x_new = x + model.drift(t, x) * dt
-                for k, col in enumerate(model.diffusion_columns):
-                    x_new = x_new + col(t, x) * dW[:, j, k][:, None]
-                x = x_new
-                finite = np.all(np.isfinite(x), axis=1)
-                if not finite.all():
-                    raise NonFinite("a path overflowed before the horizon")
-        step += w
-    return exits, nonfinite, x
+    states, steps, exited, nonfinite = _simulate_block(
+        model, domain, x[None, :], T, dt, seed, path_index
+    )
+    if nonfinite[0]:
+        raise NonFinite("state overflowed during an Euler-Maruyama step")
+    taken = int(steps[0])
+    exit_time = taken * dt if exited[0] else None
+    return PathResult(bool(exited[0]), exit_time, states[0], taken)
 
 
 def exit_probability(
@@ -196,23 +191,19 @@ def exit_probability(
     if signed_level(domain, x0) > 0.0:
         raise ImmediateExit(f"start point {x0!r} lies outside the domain")
 
-    ranges = [
-        (b0, min(block, n_paths - b0)) for b0 in range(0, n_paths, block)
-    ]
+    def run(b0):
+        starts = np.tile(x0, (min(block, n_paths - b0), 1))
+        return _simulate_block(model, domain, starts, T, dt, seed, b0)
 
-    def run(rng_args):
-        b0, B = rng_args
-        starts = np.tile(x0, (B, 1))
-        return _simulate_block(model, domain, starts, T, dt, seed, b0, True)
-
-    if threads > 1 and len(ranges) > 1:
+    firsts = range(0, n_paths, block)
+    if threads > 1 and len(firsts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, ranges))
+            results = list(pool.map(run, firsts))
     else:
-        results = [run(r) for r in ranges]
+        results = [run(b0) for b0 in firsts]
 
-    exits = sum(r[0] for r in results)
-    nonfinite = sum(r[1] for r in results)
+    exits = sum(int(exited.sum()) for _, _, exited, _ in results)
+    nonfinite = sum(int(bad.sum()) for _, _, _, bad in results)
     lo, hi = wilson_interval(exits, n_paths)
     return ExitEstimate(
         n_paths=n_paths,
@@ -237,17 +228,17 @@ def final_states(
 ) -> np.ndarray:
     """States at the horizon for a batch of start points, without exit stops.
 
-    Row i uses the stream keyed by (seed, i); the same window layout as
-    simulate_path applies.
+    Row i uses the stream keyed by (seed, i).
     """
     starts = np.asarray(starts, dtype=float)
     out = np.empty_like(starts)
     for b0 in range(0, starts.shape[0], block):
-        B = min(block, starts.shape[0] - b0)
-        _, _, finals = _simulate_block(
-            model, None, starts[b0 : b0 + B], T, dt, seed, b0, False
+        finals, _, _, nonfinite = _simulate_block(
+            model, None, starts[b0 : b0 + block], T, dt, seed, b0
         )
-        out[b0 : b0 + B] = finals
+        if nonfinite.any():
+            raise NonFinite("a path overflowed before the horizon")
+        out[b0 : b0 + block] = finals
     return out
 
 

@@ -131,6 +131,35 @@ def omega(spec: MollifierSpec, x) -> float | np.ndarray:
     return float(vals[0]) if single else vals
 
 
+def _bump_terms(V: np.ndarray, eps: float, scale: float, order: int):
+    """Bump weights at the offsets V (rows), with derivatives up to order.
+
+    Returns (w, gradient or None, hessian or None): w = scale * exp(-eps^2 /
+    (eps^2 - |v|^2)), its derivative in the subtracted argument z of v = x - z
+    (the x derivative is the negative), and its second derivatives (the same
+    in x and z). scale is c_eps for omega itself and 1.0 for the raw node
+    weights of eta. Every term is zero at and beyond the cutoff.
+    """
+    v2 = np.sum(V * V, axis=1)
+    w = scale * _bump_values(v2, eps)
+    if order == 0:
+        return w, None, None
+    q = np.zeros_like(v2)
+    mask = v2 < eps * eps
+    q[mask] = 1.0 / (eps * eps - v2[mask])
+    e2 = eps * eps
+    grad = (2.0 * e2) * (q * q * w)[:, None] * V
+    if order == 1:
+        return w, grad, None
+    outer = V[:, :, None] * V[:, None, :]
+    coeff = 4.0 * e2 * e2 * q**4 * w - 8.0 * e2 * q**3 * w
+    hess = coeff[:, None, None] * outer
+    diag = -2.0 * e2 * q * q * w
+    idx = np.arange(V.shape[1])
+    hess[:, idx, idx] += diag[:, None]
+    return w, grad, hess
+
+
 def omega_gradient(spec: MollifierSpec, x_minus_z) -> np.ndarray:
     """Derivative of omega(x - z) with respect to the subtracted argument z.
 
@@ -139,13 +168,7 @@ def omega_gradient(spec: MollifierSpec, x_minus_z) -> np.ndarray:
     Zero at and beyond the cutoff |x - z| >= eps.
     """
     V, single = _as_batch(x_minus_z)
-    eps = spec.radius
-    v2 = np.sum(V * V, axis=1)
-    w = spec.c_eps * _bump_values(v2, eps)
-    q = np.zeros_like(v2)
-    mask = v2 < eps * eps
-    q[mask] = 1.0 / (eps * eps - v2[mask])
-    grad = (2.0 * eps * eps) * (q * q * w)[:, None] * V
+    _, grad, _ = _bump_terms(V, spec.radius, spec.c_eps, 1)
     return grad[0] if single else grad
 
 
@@ -157,20 +180,7 @@ def omega_hessian(spec: MollifierSpec, x_minus_z) -> np.ndarray:
     beyond the cutoff.
     """
     V, single = _as_batch(x_minus_z)
-    n = V.shape[1]
-    eps = spec.radius
-    v2 = np.sum(V * V, axis=1)
-    w = spec.c_eps * _bump_values(v2, eps)
-    q = np.zeros_like(v2)
-    mask = v2 < eps * eps
-    q[mask] = 1.0 / (eps * eps - v2[mask])
-    e2 = eps * eps
-    outer = V[:, :, None] * V[:, None, :]
-    coeff = 4.0 * e2 * e2 * q**4 * w - 8.0 * e2 * q**3 * w
-    hess = coeff[:, None, None] * outer
-    diag = -2.0 * e2 * q * q * w
-    idx = np.arange(n)
-    hess[:, idx, idx] += diag[:, None]
+    _, _, hess = _bump_terms(V, spec.radius, spec.c_eps, 2)
     return hess[0] if single else hess
 
 
@@ -201,18 +211,17 @@ class SmoothedIndicator:
         return 2.0 * self.eps / self.nodes_per_axis
 
 
-def _lattice_window(ind: SmoothedIndicator, x: np.ndarray):
-    """Midpoint-lattice nodes covering the support ball around x.
+def _lattice_window(x: np.ndarray, eps: float, d: float):
+    """Midpoint-lattice nodes of spacing d covering the ball of radius eps
+    around x.
 
-    The lattice is anchored at the origin: node k sits at (k + 1/2) * spacing,
+    The lattice is anchored at the origin: node k sits at (k + 1/2) * d,
     independent of the query point.
     """
-    d = ind.spacing
-    eps = ind.eps
     axes_idx = []
-    for i in range(ind.domain.dimension):
-        lo = int(np.floor((x[i] - eps) / d - 0.5))
-        hi = int(np.ceil((x[i] + eps) / d - 0.5))
+    for xi in x:
+        lo = int(np.floor((xi - eps) / d - 0.5))
+        hi = int(np.ceil((xi + eps) / d - 0.5))
         axes_idx.append(np.arange(lo, hi + 1))
     grids = np.meshgrid(*axes_idx, indexing="ij")
     idx = np.stack([g.ravel() for g in grids], axis=-1)
@@ -269,7 +278,7 @@ def _eta_core(ind: SmoothedIndicator, x, need_grad: bool, need_hess: bool):
     eps = ind.eps
 
     if n <= 3:
-        idx, Z = _lattice_window(ind, x)
+        idx, Z = _lattice_window(x, eps, ind.spacing)
         frac = _membership_fractions(ind, idx, Z)
     else:
         Z = _qmc_nodes(ind, x)
@@ -278,30 +287,21 @@ def _eta_core(ind: SmoothedIndicator, x, need_grad: bool, need_hess: bool):
         frac = (sd <= 0.0).astype(float)
 
     V = x[None, :] - Z
-    v2 = np.sum(V * V, axis=1)
-    w = _bump_values(v2, eps)  # normalization constant cancels in N / S
+    # raw weights (scale 1.0): the normalization constant cancels in N / S
+    order = 2 if need_hess else int(need_grad)
+    w, gz, hw = _bump_terms(V, eps, 1.0, order)
     S = float(np.sum(w))
     N = float(np.sum(w * frac))
     value = min(max(N / S, 0.0), 1.0)
 
     grad = hess = None
-    if need_grad or need_hess:
-        q = np.zeros_like(v2)
-        mask = v2 < eps * eps
-        q[mask] = 1.0 / (eps * eps - v2[mask])
-        e2 = eps * eps
-        gw = (-2.0 * e2) * (q * q * w)[:, None] * V  # d/dx of each node weight
+    if order:
+        gw = -gz  # d/dx of each node weight
         gS = gw.sum(axis=0)
         gN = (gw * frac[:, None]).sum(axis=0)
         if need_grad:
             grad = gN / S - N * gS / (S * S)
         if need_hess:
-            outer = V[:, :, None] * V[:, None, :]
-            coeff = 4.0 * e2 * e2 * q**4 * w - 8.0 * e2 * q**3 * w
-            hw = coeff[:, None, None] * outer
-            diag = -2.0 * e2 * q * q * w
-            ii = np.arange(n)
-            hw[:, ii, ii] += diag[:, None]
             hS = hw.sum(axis=0)
             hN = (hw * frac[:, None, None]).sum(axis=0)
             s2 = S * S
@@ -351,12 +351,6 @@ def lattice_mass(spec: MollifierSpec, nodes_per_axis: int, x=None) -> float:
     n, eps = spec.dimension, spec.radius
     x = np.zeros(n) if x is None else np.asarray(x, dtype=float)
     d = 2.0 * eps / nodes_per_axis
-    axes = []
-    for i in range(n):
-        lo = int(np.floor((x[i] - eps) / d - 0.5))
-        hi = int(np.ceil((x[i] + eps) / d - 0.5))
-        axes.append((np.arange(lo, hi + 1) + 0.5) * d)
-    grids = np.meshgrid(*axes, indexing="ij")
-    Z = np.stack([g.ravel() for g in grids], axis=-1)
+    _, Z = _lattice_window(x, eps, d)
     v2 = np.sum((x[None, :] - Z) ** 2, axis=1)
     return float(np.sum(spec.c_eps * _bump_values(v2, eps)) * d**n)

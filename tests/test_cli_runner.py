@@ -292,3 +292,24 @@ def test_ellipsoid_domain_full_run(tmp_path):
     report, code = cli_runner.run(config, "full", out_dir=tmp_path)
     assert code == 0
     assert report["verdict"] == "invariance_predicted_and_observed"
+
+
+def test_quad_qmc_points_reaches_the_probe(tmp_path):
+    # above 3 dimensions eta is a quasi-random estimate over quad.qmc_points
+    # nodes, so a smaller node count must change the probed generator values
+    cfg = {
+        "model": {"family": "brownian", "dimension": 4, "scale": 1.0},
+        "domain": {"kind": "ball", "center": [0.0] * 4, "radius": 1.0},
+        "seed": 5,
+        "probe": {"n_points": 3},
+    }
+    values = []
+    for name, quad in (("default", {}), ("small", {"qmc_points": 256})):
+        config = write_config(tmp_path, cfg | {"quad": quad}, name=f"{name}.json")
+        report, _ = cli_runner.run(config, "probe", out_dir=tmp_path / name)
+        values.append(report["shell_probe"]["values"])
+    assert report["config"]["quad"]["qmc_points"] == 256
+    assert values[0] != values[1]
+    with pytest.raises(ConfigError):
+        cli_runner.resolve_config(cfg | {"quad": {"qmc_points": 0}})
+

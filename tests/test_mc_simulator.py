@@ -144,6 +144,35 @@ def test_isolated_path_matches_blocked_rows():
         np.testing.assert_array_equal(solo.final_state, finals[i])
 
 
+def test_isolated_exiting_paths_match_kernel_rows():
+    """Paths that exit at different steps, on both sides of a window
+    boundary, stop at the same step alone as in a block, and their exits add
+    up to the blocked, threaded estimate."""
+    model = sde_model.brownian(2)
+    domain = geometry.ball([0.0, 0.0], 1.0)
+    n_paths, T, dt, seed = 30, 0.4, 2.5e-4, 31
+    starts = np.tile([0.5, 0.0], (n_paths, 1))
+    states, steps, exited, nonfinite = mc_simulator._simulate_block(
+        model, domain, starts, T, dt, seed, 0
+    )
+    assert not nonfinite.any()
+    exit_steps = steps[exited]
+    assert 0 < exited.sum() < n_paths
+    assert len(set(exit_steps)) == exited.sum()
+    assert exit_steps.min() < mc_simulator.WINDOW < exit_steps.max()
+    for i in range(n_paths):
+        solo = mc_simulator.simulate_path(
+            model, domain, starts[i], T, dt, seed=seed, path_index=i
+        )
+        assert solo.exited == exited[i]
+        assert solo.steps_taken == steps[i]
+        np.testing.assert_array_equal(solo.final_state, states[i])
+    est = mc_simulator.exit_probability(
+        model, domain, [0.5, 0.0], T, dt, n_paths, seed, block=7, threads=2
+    )
+    assert est.n_exits == exited.sum()
+
+
 def test_exit_count_monotone_in_horizon():
     # with a shared seed, the trajectory prefix is identical, so any path
     # that exits by the shorter horizon also exits by the longer one
