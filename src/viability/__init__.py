@@ -25,6 +25,7 @@ from .geometry import (
     offset_membership,
     outward_normal,
     project_to_boundary,
+    project_to_boundary_batch,
     sample_offset_boundary,
     signed_level,
 )

@@ -134,7 +134,7 @@ def even_p_norm_ball(center, radius: float, p: int) -> ImplicitDomain:
 
     def hess(x):
         u = np.asarray(x, dtype=float) - c
-        return np.diag(p * (p - 1) * u ** (p - 2))
+        return (p * (p - 1) * u ** (p - 2))[..., :, None] * np.eye(n)
 
     return ImplicitDomain(
         n, "even_p_norm_ball", c, level, grad, hess, {"radius": r, "p": p}
@@ -194,13 +194,9 @@ def outward_normal(domain: ImplicitDomain, z) -> np.ndarray:
 def project_to_boundary(domain: ImplicitDomain, x) -> tuple[np.ndarray, float]:
     """Closest boundary point and its Euclidean distance.
 
-    Balls are projected radially in closed form. Other kinds solve the
-    first-order conditions of min |x - z|^2 subject to Q(z) = 0 with a damped
-    Newton iteration started from a gradient-flow point. At symmetric interior
-    points where the gradient vanishes (the center), the query is nudged by a
-    fixed perturbation along the first axis before projecting; the returned
-    distance is still measured from the original x. The tie-break is arbitrary
-    but deterministic.
+    Balls are projected radially in closed form; the center, where every
+    boundary point is closest, takes the point along the first axis. Other
+    kinds are project_to_boundary_batch applied to a batch of one.
     """
     x = np.asarray(x, dtype=float)
     if domain.kind == "ball":
@@ -214,72 +210,138 @@ def project_to_boundary(domain: ImplicitDomain, x) -> tuple[np.ndarray, float]:
             uhat = u / nu
         foot = c + r * uhat
         return foot, abs(nu - r)
+    feet, dists = project_to_boundary_batch(domain, x[None, :])
+    return feet[0], float(dists[0])
 
-    # Warm start on the boundary: bisect the level along the ray from the
-    # center through x. The built-in kinds are star-shaped around their
-    # center, so the crossing exists and is unique; it also sidesteps the
-    # flat-gradient region near the center of high-power levels.
-    u = x - domain.center
-    nu_len = np.linalg.norm(u)
-    if nu_len < 1e-13:
-        u = np.eye(domain.dimension)[0]  # deterministic tie-break direction
-        nu_len = 1.0
-    uhat = u / nu_len
-    hi = bounding_radius(domain) * 1.000001
-    while domain.level_fn(domain.center + hi * uhat) <= 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise NoConvergence("no boundary crossing along the warm-start ray")
-    lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if domain.level_fn(domain.center + mid * uhat) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    z = domain.center + 0.5 * (lo + hi) * uhat
 
+def _ray_crossing(domain: ImplicitDomain, X: np.ndarray):
+    """Unit directions from the center to the rows of X, and the distance s
+    from the center to the boundary along each.
+
+    Both non-ball levels are homogeneous about the center, so the crossing
+    has a closed form: s = 1 / sqrt(sum(u_i^2 / a_i^2)) for an ellipsoid and
+    s = r / |u|_p for a p-ball, for a unit direction u. A row at the center
+    takes the first axis as its direction, an arbitrary but deterministic
+    tie-break.
+    """
+    U = X - domain.center
+    length = np.linalg.norm(U, axis=1)
+    at_center = length < 1e-13
+    U[at_center] = np.eye(domain.dimension)[0]
+    length[at_center] = 1.0
+    uhat = U / length[:, None]
+    if domain.kind == "ellipsoid":
+        s = 1.0 / np.sqrt(np.sum(uhat * uhat / domain.params["semiaxes"] ** 2, axis=1))
+    elif domain.kind == "even_p_norm_ball":
+        r, p = domain.params["radius"], domain.params["p"]
+        s = r / np.sum(uhat**p, axis=1) ** (1.0 / p)
+    else:
+        raise ValueError(domain.kind)
+    return uhat, s
+
+
+def distance_lower_bound(domain: ImplicitDomain, X) -> np.ndarray:
+    """Lower bound on dist(x, K) for the rows x of X; not positive inside K.
+
+    Write x = c + lambda (b - c) with b on the boundary along the ray from the
+    center c. K is convex and contains the ball of radius inner_radius around
+    c, so its gauge is Lipschitz with constant 1 / inner_radius, and
+    dist(x, K) >= (lambda - 1) * inner_radius. For balls the bound is the
+    exact signed distance.
+    """
+    X = np.asarray(X, dtype=float)
+    if domain.kind == "ball":
+        return signed_boundary_distance_batch(domain, X)
+    _, s = _ray_crossing(domain, X)
+    gauge = np.linalg.norm(X - domain.center, axis=1) / s
+    return (gauge - 1.0) * inner_radius(domain)
+
+
+def project_to_boundary_batch(domain: ImplicitDomain, X) -> tuple[np.ndarray, np.ndarray]:
+    """Closest boundary points of the rows of X and their Euclidean distances.
+
+    Non-ball kinds solve the first-order conditions z - x + mu grad Q(z) = 0,
+    Q(z) = 0 of min |x - z|^2 subject to Q(z) = 0 for all rows at once: a
+    damped Newton iteration started from the crossing of the boundary with
+    the ray from the center through x, with a batched solve of the bordered
+    Jacobians and a backtracking line search per row. A row leaves the
+    iteration once its residual is below tolerance, so each row's result
+    depends on that row alone. A row at the center starts from the crossing
+    along the first axis (see _ray_crossing). Balls project each row with the
+    closed form of project_to_boundary.
+
+    From outside the convex built-in kinds the iteration reaches the closest
+    point. Inside, it may stop at a stationary point that is not the closest
+    (on the medial axis, such as the center) or stall near one. Raises
+    NoConvergence when any row fails to converge.
+    """
+    X = np.asarray(X, dtype=float)
+    if domain.kind == "ball":
+        feet, dists = np.empty_like(X), np.empty(X.shape[0])
+        for i, x in enumerate(X):
+            feet[i], dists[i] = project_to_boundary(domain, x)
+        return feet, dists
+    m, n = X.shape
+    uhat, s = _ray_crossing(domain, X)
+    z = domain.center + s[:, None] * uhat
     g = domain.gradient_fn(z)
-    g2 = float(np.dot(g, g))
-    mu = float(np.dot(x - z, g)) / g2 if g2 > 0 else 0.0
-    n = domain.dimension
-    scale = 1.0 + np.linalg.norm(x - domain.center)
+    g2 = np.sum(g * g, axis=1)
+    mu = np.divide(np.sum((X - z) * g, axis=1), g2, out=np.zeros(m), where=g2 > 0)
+    tol = PROJECT_TOL * (1.0 + np.linalg.norm(X - domain.center, axis=1))
+    eye = np.eye(n)
 
-    def residual(z, mu):
+    def residual(x, z, mu):
+        """Residual rows and the gradients they used."""
         g = domain.gradient_fn(z)
-        return np.concatenate([z - x + mu * g, [domain.level_fn(z)]])
+        F = np.concatenate([z - x + mu[:, None] * g, domain.level_fn(z)[:, None]], axis=1)
+        return F, g
 
-    F = residual(z, mu)
+    # The working arrays hold the live rows only; live maps them to rows of X.
+    feet = np.empty_like(X)
+    live, x = np.arange(m), X
+    F, g = residual(x, z, mu)
+    norm = np.linalg.norm(F, axis=1)
     for _ in range(PROJECT_MAX_ITER):
-        if np.linalg.norm(F) <= PROJECT_TOL * scale:
+        done = norm <= tol
+        if done.any():
+            feet[live[done]] = z[done]
+            go = ~done
+            live, x, z, mu, F, g, norm, tol = (
+                a[go] for a in (live, x, z, mu, F, g, norm, tol)
+            )
+        if live.size == 0:
             break
-        g = domain.gradient_fn(z)
-        H = domain.hessian_fn(z)
-        J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = np.eye(n) + mu * H
-        J[:n, n] = g
-        J[n, :n] = g
+        J = np.zeros((live.size, n + 1, n + 1))
+        J[:, :n, :n] = eye + mu[:, None, None] * domain.hessian_fn(z)
+        J[:, :n, n] = g
+        J[:, n, :n] = g
         try:
-            step = np.linalg.solve(J, -F)
+            step = np.linalg.solve(J, -F[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"singular projection system at {z!r}") from exc
-        base = np.linalg.norm(F)
+            raise NoConvergence("singular projection system") from exc
+        # Backtracking: a row takes the first of t = 1, 1/2, 1/4, ... that
+        # lowers its residual norm, so the rows still trying share one t.
+        trial = np.arange(live.size)
         t = 1.0
         for _ in range(30):
-            z_new = z + t * step[:n]
-            mu_new = mu + t * step[n]
-            F_new = residual(z_new, mu_new)
-            if np.linalg.norm(F_new) < base:
-                z, mu, F = z_new, mu_new, F_new
+            zt = z[trial] + t * step[trial, :n]
+            mut = mu[trial] + t * step[trial, n]
+            Ft, gt = residual(x[trial], zt, mut)
+            nt = np.linalg.norm(Ft, axis=1)
+            ok = nt < norm[trial]
+            acc = trial[ok]
+            z[acc], mu[acc], F[acc], g[acc], norm[acc] = zt[ok], mut[ok], Ft[ok], gt[ok], nt[ok]
+            trial = trial[~ok]
+            if trial.size == 0:
                 break
             t *= 0.5
         else:
-            raise NoConvergence(f"projection line search stalled at {z!r}")
+            raise NoConvergence(f"projection line search stalled at {z[trial[0]]!r}")
     else:
         raise NoConvergence(
             f"projection did not converge in {PROJECT_MAX_ITER} iterations"
         )
-    return z, float(np.linalg.norm(x - z))
+    return feet, np.linalg.norm(X - feet, axis=1)
 
 
 def signed_boundary_distance(domain: ImplicitDomain, x) -> float:
@@ -289,8 +351,7 @@ def signed_boundary_distance(domain: ImplicitDomain, x) -> float:
         return float(
             np.linalg.norm(x - domain.center) - domain.params["radius"]
         )
-    _, d = project_to_boundary(domain, x)
-    return -d if domain.level_fn(x) <= 0.0 else d
+    return float(signed_boundary_distance_batch(domain, x[None, :])[0])
 
 
 def signed_boundary_distance_batch(domain: ImplicitDomain, X: np.ndarray) -> np.ndarray:
@@ -301,7 +362,8 @@ def signed_boundary_distance_batch(domain: ImplicitDomain, X: np.ndarray) -> np.
             np.linalg.norm(X - domain.center[None, :], axis=1)
             - domain.params["radius"]
         )
-    return np.array([signed_boundary_distance(domain, x) for x in X])
+    _, d = project_to_boundary_batch(domain, X)
+    return np.where(domain.level_fn(X) <= 0.0, -d, d)
 
 
 def distance_to_domain(domain: ImplicitDomain, x) -> float:
@@ -318,6 +380,8 @@ def offset_membership(domain: ImplicitDomain, x, eps: float) -> str:
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
+    if domain.level_fn(x) <= 0.0:
+        return REGION_INSIDE
     d = signed_boundary_distance(domain, x)
     if d <= 0.0:
         return REGION_INSIDE

@@ -22,7 +22,7 @@ support ball, which spares the grid blow-up but is only piecewise-smooth in x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gamma, pi
 from typing import Sequence
@@ -189,16 +189,13 @@ class SmoothedIndicator:
     """Convolution of the indicator of K_2eps with the bump omega_eps.
 
     nodes_per_axis controls the lattice resolution for dimensions up to 3;
-    qmc_points controls the quasi-random fallback above. The membership
-    fraction cache is keyed by lattice index and shared across queries; it is
-    populated deterministically, so concurrent reads are safe.
+    qmc_points controls the quasi-random fallback above.
     """
 
     domain: geometry.ImplicitDomain
     eps: float
     nodes_per_axis: int = DEFAULT_NODES_PER_AXIS
     qmc_points: int = DEFAULT_QMC_POINTS
-    _frac_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.eps <= 0.0:
@@ -216,7 +213,7 @@ def _lattice_window(x: np.ndarray, eps: float, d: float):
     around x.
 
     The lattice is anchored at the origin: node k sits at (k + 1/2) * d,
-    independent of the query point.
+    independent of the query point. Returns the nodes as rows.
     """
     axes_idx = []
     for xi in x:
@@ -225,41 +222,58 @@ def _lattice_window(x: np.ndarray, eps: float, d: float):
         axes_idx.append(np.arange(lo, hi + 1))
     grids = np.meshgrid(*axes_idx, indexing="ij")
     idx = np.stack([g.ravel() for g in grids], axis=-1)
-    Z = (idx + 0.5) * d
-    return idx, Z
+    return (idx + 0.5) * d
 
 
-def _membership_fractions(ind: SmoothedIndicator, idx: np.ndarray, Z: np.ndarray):
+def _offset_distances(ind: SmoothedIndicator, Z: np.ndarray, margin: float):
+    """Signed distance of each node to the boundary of K_2eps, exact where it
+    lies within margin of zero.
+
+    Balls use the closed form for every node. For other kinds only the nodes
+    that can lie within the margin are projected, in one batch. Any other node
+    gets its distance lower bound minus 2 eps, which lies on the same side of
+    the margin as the exact value: past +margin for a node whose bound already
+    exceeds 2 eps + margin, and at most -2 eps for a node of K, where the
+    bound is not positive.
+    """
+    two_eps = 2.0 * ind.eps
+    domain = ind.domain
+    if domain.kind == "ball":
+        return geometry.signed_boundary_distance_batch(domain, Z) - two_eps
+    sd = geometry.distance_lower_bound(domain, Z) - two_eps
+    band = np.flatnonzero((domain.level_fn(Z) > 0.0) & (sd <= margin))
+    sd[band] = geometry.signed_boundary_distance_batch(domain, Z[band]) - two_eps
+    return sd
+
+
+def _membership_fractions(ind: SmoothedIndicator, Z: np.ndarray):
     """Cell fraction of each lattice node inside K_2eps.
 
     Cells cut by the interface contribute the clipped linear fraction
     clip(1/2 - sd / spacing, 0, 1) of their volume, where sd is the signed
     distance of the node to the boundary of K_2eps. Nodes deeper than half a
-    cell on either side contribute exactly 1 or 0.
+    cell on either side contribute exactly 1 or 0, so their sd need not be
+    exact.
     """
     d = ind.spacing
-    two_eps = 2.0 * ind.eps
-    if ind.domain.kind == "ball":
-        sd = geometry.signed_boundary_distance_batch(ind.domain, Z) - two_eps
-        return np.clip(0.5 - sd / d, 0.0, 1.0)
-    frac = np.empty(idx.shape[0])
-    cache = ind._frac_cache
-    for row, key in enumerate(map(tuple, idx)):
-        got = cache.get(key)
-        if got is None:
-            sd = geometry.signed_boundary_distance(ind.domain, Z[row]) - two_eps
-            got = float(np.clip(0.5 - sd / d, 0.0, 1.0))
-            cache[key] = got
-        frac[row] = got
-    return frac
+    sd = _offset_distances(ind, Z, 0.5 * d)
+    return np.clip(0.5 - sd / d, 0.0, 1.0)
+
+
+@lru_cache(maxsize=8)
+def _unit_qmc_offsets(n: int, log2_points: int) -> np.ndarray:
+    """Scrambled Sobol points (seed 11) mapped to [-1, 1]^n; read-only,
+    because every call with the same arguments shares the array."""
+    sob = stats.qmc.Sobol(d=n, scramble=True, seed=11)
+    u = 2.0 * sob.random(2**log2_points) - 1.0
+    u.setflags(write=False)
+    return u
 
 
 def _qmc_nodes(ind: SmoothedIndicator, x: np.ndarray):
     """Quasi-random nodes in the support ball around x (dimensions above 3)."""
-    n = ind.domain.dimension
     m = max(8, int(np.ceil(np.log2(ind.qmc_points))))
-    sob = stats.qmc.Sobol(d=n, scramble=True, seed=11)
-    u = (2.0 * sob.random(2**m) - 1.0) * ind.eps
+    u = _unit_qmc_offsets(ind.domain.dimension, m) * ind.eps
     keep = np.sum(u * u, axis=1) < ind.eps**2
     return x[None, :] - u[keep]
 
@@ -278,13 +292,11 @@ def _eta_core(ind: SmoothedIndicator, x, need_grad: bool, need_hess: bool):
     eps = ind.eps
 
     if n <= 3:
-        idx, Z = _lattice_window(x, eps, ind.spacing)
-        frac = _membership_fractions(ind, idx, Z)
+        Z = _lattice_window(x, eps, ind.spacing)
+        frac = _membership_fractions(ind, Z)
     else:
         Z = _qmc_nodes(ind, x)
-        two_eps = 2.0 * eps
-        sd = geometry.signed_boundary_distance_batch(ind.domain, Z) - two_eps
-        frac = (sd <= 0.0).astype(float)
+        frac = (_offset_distances(ind, Z, 0.0) <= 0.0).astype(float)
 
     V = x[None, :] - Z
     # raw weights (scale 1.0): the normalization constant cancels in N / S
@@ -351,6 +363,6 @@ def lattice_mass(spec: MollifierSpec, nodes_per_axis: int, x=None) -> float:
     n, eps = spec.dimension, spec.radius
     x = np.zeros(n) if x is None else np.asarray(x, dtype=float)
     d = 2.0 * eps / nodes_per_axis
-    _, Z = _lattice_window(x, eps, d)
+    Z = _lattice_window(x, eps, d)
     v2 = np.sum((x[None, :] - Z) ** 2, axis=1)
     return float(np.sum(spec.c_eps * _bump_values(v2, eps)) * d**n)

@@ -212,6 +212,18 @@ def test_lemma1_gap_invariant_dynamics():
     assert gap == 0.0
 
 
+def test_lemma1_gap_ellipsoid_default_cloud():
+    # The default start cloud puts lattice nodes near the medial axis of the
+    # ellipse, where eta is exactly 1 and no projection is needed.
+    gap, se = generator_probe.lemma1_gap(
+        sde_model.ou_inward(2),
+        geometry.ellipsoid([0.0, 0.0], [1.5, 1.0]),
+        0.1, 0.1, 0.01, 200, 3,
+    )
+    assert se >= 0.0
+    assert gap >= -3.0 * se
+
+
 def test_lemma1_gap_detects_leaking_dynamics():
     small = geometry.ball([0.0, 0.0], 0.5)
     gap, se = generator_probe.lemma1_gap(

@@ -71,6 +71,9 @@ def test_project_ball_radial_and_center_tie():
     foot, dist = geometry.project_to_boundary(d, [0.0, 0.0])
     assert dist == pytest.approx(1.0, abs=1e-12)
     assert abs(d.level_fn(foot)) < 1e-10
+    feet, dists = geometry.project_to_boundary_batch(d, [[2.0, 0.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(feet, [[1.0, 0.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(dists, [1.0, 1.0])
 
 
 def test_project_ellipsoid_axis_point():
@@ -197,6 +200,45 @@ def test_signed_boundary_distance_batch_matches_scalar():
     batch = geometry.signed_boundary_distance_batch(d, pts)
     for row, expect in zip(pts, batch):
         assert geometry.signed_boundary_distance(d, row) == pytest.approx(expect, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        geometry.ellipsoid([0.0, 0.0], [1.5, 1.0]),
+        geometry.ellipsoid([0.1, 0.0, -0.1], [1.2, 1.0, 0.8]),
+        geometry.even_p_norm_ball([0.0, 0.0], 1.0, 4),
+    ],
+    ids=["ellipse2d", "ellipsoid3d", "p4_ball"],
+)
+def test_project_to_boundary_batch_matches_batch_of_one(domain):
+    n = domain.dimension
+    rng = np.random.default_rng(31)
+    outside = domain.center + rng.uniform(-2.5, 2.5, size=(40, n))
+    outside = outside[domain.level_fn(outside) > 0.0]
+    # interior points on the shortest axis, off the medial axis, and the center
+    inside = domain.center + geometry.inner_radius(domain) * np.outer([0.6, -0.3], np.eye(n)[-1])
+    X = np.vstack([outside, inside, domain.center])
+    feet, dists = geometry.project_to_boundary_batch(domain, X)
+    assert feet.shape == X.shape and dists.shape == (X.shape[0],)
+    for x, foot, dist in zip(X, feet, dists):
+        one_foot, one_dist = geometry.project_to_boundary(domain, x)
+        np.testing.assert_allclose(foot, one_foot, rtol=0.0, atol=1e-12)
+        assert abs(dist - one_dist) <= 1e-12
+    assert np.max(np.abs(domain.level_fn(feet))) < 1e-10
+    # the center takes the crossing along the first axis
+    np.testing.assert_allclose(feet[-1] - domain.center, dists[-1] * np.eye(n)[0], atol=1e-12)
+    sd = geometry.signed_boundary_distance_batch(domain, X)
+    np.testing.assert_array_equal(np.abs(sd), dists)
+    assert np.all(sd[: outside.shape[0]] > 0.0) and np.all(sd[outside.shape[0]:] < 0.0)
+
+
+def test_offset_membership_interior_point_of_implicit_domain():
+    # Inside K the tag needs no projection; at this point near the medial
+    # axis of the ellipse a projection from the radial point stalls.
+    d = geometry.ellipsoid([0.0, 0.0], [1.5, 1.0])
+    assert geometry.offset_membership(d, [0.7, 0.05], 0.1) == "inside_K"
+    assert geometry.offset_membership(d, [1.55, 0.0], 0.1) == "in_K_eps"
 
 
 def test_bounding_and_inner_radius():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from viability import geometry, mollifier
 
@@ -271,14 +272,71 @@ def test_eta_deterministic_across_instances():
         assert mollifier.eta(a, p) == mollifier.eta(b, p)
 
 
-def test_eta_membership_cache_reused_for_implicit_domains():
+def test_eta_repeatable_for_implicit_domains():
+    # Each query projects its own lattice window; a node's fraction must not
+    # depend on which other nodes share the batch, so an overlapping query in
+    # between and a fresh indicator reproduce every bit.
     domain = geometry.ellipsoid([0.0, 0.0], [1.0, 0.7])
     ind = mollifier.SmoothedIndicator(domain, 0.1, nodes_per_axis=16)
-    first = mollifier.eta(ind, [1.05, 0.0])
-    filled = len(ind._frac_cache)
-    assert filled > 0
-    assert mollifier.eta(ind, [1.05, 0.0]) == first
-    assert len(ind._frac_cache) == filled
+    first = mollifier.eta_with_derivatives(ind, [1.2, 0.0])
+    assert 0.0 < first[0] < 1.0
+    mollifier.eta_with_derivatives(ind, [1.22, 0.04])
+    again = mollifier.eta_with_derivatives(ind, [1.2, 0.0])
+    fresh = mollifier.eta_with_derivatives(
+        mollifier.SmoothedIndicator(domain, 0.1, nodes_per_axis=16), [1.2, 0.0]
+    )
+    for other in (again, fresh):
+        assert other[0] == first[0]
+        assert np.array_equal(other[1], first[1])
+        assert np.array_equal(other[2], first[2])
+
+
+@pytest.mark.parametrize(
+    "domain, x",
+    [
+        (geometry.ellipsoid([0.0, 0.0], [1.5, 1.0]), [1.3, 0.6]),
+        (geometry.ellipsoid([0.1, 0.0, -0.1], [1.2, 1.0, 0.8]), [0.2, 1.2, 0.0]),
+        (geometry.even_p_norm_ball([0.0, 0.0], 1.0, 4), [0.9, 0.95]),
+    ],
+)
+def test_membership_fractions_match_per_node_projection(domain, x):
+    # Reference: every node projected on its own, no pruning. Nodes of K
+    # (fraction 1) and nodes beyond the distance lower bound (fraction 0)
+    # are skipped by the batch, so this checks that both shortcuts are exact.
+    ind = mollifier.SmoothedIndicator(domain, 0.1, nodes_per_axis=8)
+    Z = mollifier._lattice_window(np.asarray(x), ind.eps, ind.spacing)
+    sd = np.array([geometry.signed_boundary_distance(domain, z) for z in Z])
+    expect = np.clip(0.5 - (sd - 2.0 * ind.eps) / ind.spacing, 0.0, 1.0)
+    got = mollifier._membership_fractions(ind, Z)
+    assert np.any(got == 1.0) and np.any(got == 0.0)
+    assert np.any((got > 0.0) & (got < 1.0))
+    np.testing.assert_allclose(got, expect, rtol=0.0, atol=1e-12)
+
+
+def test_eta_implicit_domain_interior_near_medial_axis():
+    # x = (0.7, 0) lies on the medial axis of the 1.5 x 1 ellipse, where a
+    # projection started from the radial point stalls for nearby nodes; eta
+    # is exactly 1 there because every node of the window lies in K.
+    domain = geometry.ellipsoid([0.0, 0.0], [1.5, 1.0])
+    ind = mollifier.SmoothedIndicator(domain, 0.1)
+    assert mollifier.eta(ind, [0.7, 0.0]) == 1.0
+    # the same above 3 dimensions, where quasi-random nodes replace the lattice
+    domain = geometry.ellipsoid([0.0] * 4, [1.5, 1.0, 1.0, 1.0])
+    ind = mollifier.SmoothedIndicator(domain, 0.1, qmc_points=2**12)
+    assert mollifier.eta(ind, [0.7, 0.0, 0.0, 0.0]) == 1.0
+
+
+def test_eta_qmc_implicit_domain_matches_per_node_projection():
+    # Reference: the quasi-random nodes classified by projecting each alone.
+    domain = geometry.ellipsoid([0.0] * 4, [1.5, 1.0, 1.0, 1.0])
+    ind = mollifier.SmoothedIndicator(domain, 0.1, qmc_points=2**10)
+    x = np.array([0.0, 1.2, 0.0, 0.0])
+    Z = mollifier._qmc_nodes(ind, x)
+    sd = np.array([geometry.signed_boundary_distance(domain, z) for z in Z])
+    w, _, _ = mollifier._bump_terms(x[None, :] - Z, ind.eps, 1.0, 0)
+    expect = np.sum(w * (sd <= 2.0 * ind.eps)) / np.sum(w)
+    assert 0.0 < expect < 1.0
+    assert abs(mollifier.eta(ind, x) - expect) <= 1e-12
 
 
 def test_expected_eta_mixes_known_values():
@@ -288,6 +346,20 @@ def test_expected_eta_mixes_known_values():
     assert mollifier.expected_eta(ind, [0.0, 0.0]) == 1.0
     with pytest.raises(ValueError):
         mollifier.expected_eta(ind, np.zeros((0, 2)))
+
+
+def test_qmc_nodes_match_a_fresh_sobol_set():
+    # Reference: the scrambled Sobol set built anew for each query.
+    domain = geometry.ball([0.0] * 4, 1.0)
+    x = np.array([0.3, -0.2, 0.1, 0.0])
+    for eps, points in ((0.25, 2**12), (0.1, 2**12), (0.25, 2**10)):
+        ind = mollifier.SmoothedIndicator(domain, eps, qmc_points=points)
+        sob = stats.qmc.Sobol(d=4, scramble=True, seed=11)
+        u = (2.0 * sob.random(points) - 1.0) * eps
+        expect = x[None, :] - u[np.sum(u * u, axis=1) < eps**2]
+        for _ in range(2):
+            assert np.array_equal(mollifier._qmc_nodes(ind, x), expect)
+    assert not mollifier._unit_qmc_offsets(4, 12).flags.writeable
 
 
 def test_eta_qmc_fallback_dimension_four():
