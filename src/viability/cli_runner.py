@@ -57,7 +57,7 @@ SIM_DEFAULTS = {
     "T": 1.0,
     "dt": 1e-3,
     "n_paths": 2000,
-    "seed": 12345,
+    "seed": None,  # the root seed when omitted
     "dt_list": None,
     "p_max": 1e-3,
 }
@@ -126,6 +126,8 @@ def resolve_config(raw: dict) -> dict:
     sim = cfg["sim"]
     if sim["x0"] is None:
         sim["x0"] = [float(v) for v in domain.center]
+    if sim["seed"] is None:
+        sim["seed"] = cfg["seed"]
     if sim["dt"] <= 0 or sim["T"] <= 0 or sim["dt"] > sim["T"]:
         raise ConfigError("sim requires 0 < dt <= T")
     if sim["n_paths"] < 1:

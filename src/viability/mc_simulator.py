@@ -1,7 +1,9 @@
 """Euler-Maruyama simulation, first-exit detection, and exit-probability CIs.
 
 Every path owns a counter-based random stream keyed by (seed, path index), and
-increments are drawn in fixed windows of WINDOW steps. Every time step runs in
+increments are drawn in fixed windows of WINDOW steps, each only up to the
+horizon: a shorter last window draws the leading rows of the full window, so
+every increment equals the one a full-window draw gives. Every time step runs in
 one block loop, _simulate_block, and a path simulated alone is a block of one,
 so it matches the same path inside any batch bit for bit by construction.
 Estimates are bit-identical for any batching or thread count, and any single
@@ -92,11 +94,14 @@ def _simulate_block(model, domain, starts, T, dt, seed, first_index):
     """The Euler-Maruyama time loop for a block of paths.
 
     Row i is path first_index + i and draws its increments from the stream
-    keyed by (seed, first_index + i), one (WINDOW, n) array per window while
-    it is live. A path stops after the first step that overflows or leaves
-    the domain (never when domain is None). Returns per-path arrays (states,
-    steps, exited, nonfinite): the state and step count at the stop or the
-    horizon, and which of the two stops ended the path.
+    keyed by (seed, first_index + i). Each window draws one (width, n) array
+    per live path, width = min(WINDOW, steps left to the horizon); these are
+    the leading rows of the full (WINDOW, n) window, so the stream layout does
+    not depend on the horizon. A path stops after the first step that
+    overflows or leaves the domain (never when domain is None). Returns
+    per-path arrays (states, steps, exited, nonfinite): the state and step
+    count at the stop or the horizon, and which of the two stops ended the
+    path.
     """
     n_steps = _n_steps(T, dt)
     B, n = starts.shape
@@ -110,6 +115,8 @@ def _simulate_block(model, domain, starts, T, dt, seed, first_index):
     def stop(mask, flag, taken):
         """Record the rows in mask as stopped after `taken` steps, drop them."""
         nonlocal live, rows, x
+        if rows is None:
+            rows = np.arange(live.size)
         flag[live[mask]] = True
         states[live[mask]] = x[mask]
         steps[live[mask]] = taken
@@ -118,17 +125,16 @@ def _simulate_block(model, domain, starts, T, dt, seed, first_index):
     for start in range(0, n_steps, WINDOW):
         if not live.size:
             break
-        # Per-path arrays, then stacked. Drawing into one preallocated array
-        # gives the same values, but later eta evaluations in the process ran
-        # 30-50% slower: the heap left behind by these arrays stays faulted in.
-        dW = np.stack([gens[i].standard_normal((WINDOW, n)) for i in live])
+        width = min(WINDOW, n_steps - start)
+        dW = np.stack([gens[i].standard_normal((width, n)) for i in live])
         dW *= np.sqrt(dt)
-        rows = np.arange(live.size)  # row of dW for each row of x
-        for s in range(start, min(start + WINDOW, n_steps)):
-            x = _em_update(model, s * dt, x, dt, dW[rows, s - start])
-            bad = ~np.all(np.isfinite(x), axis=1)
-            if bad.any():
-                stop(bad, nonfinite, s + 1)
+        rows = None  # row of dW for each row of x, once a path has stopped
+        for j in range(width):
+            s = start + j
+            inc = dW[:, j] if rows is None else dW[rows, j]
+            x = _em_update(model, s * dt, x, dt, inc)
+            if not np.isfinite(x).all():
+                stop(~np.isfinite(x).all(axis=1), nonfinite, s + 1)
             if domain is not None:
                 out = np.asarray(signed_level(domain, x)) > 0.0
                 if out.any():

@@ -163,6 +163,18 @@ def test_seed_override_applies_everywhere(tmp_path):
     assert report["exit"]["seed"] == 777
 
 
+def test_sim_seed_defaults_to_root_seed(tmp_path):
+    config = write_config(tmp_path, rotational_config(seed=4242))
+    report, _ = cli_runner.run(config, "simulate", out_dir=tmp_path)
+    assert report["config"]["sim"]["seed"] == 4242
+    assert report["exit"]["seed"] == report["config"]["seed"] == 4242
+    explicit = rotational_config(seed=4242)
+    explicit["sim"]["seed"] = 99
+    config = write_config(tmp_path, explicit, name="explicit.json")
+    report, _ = cli_runner.run(config, "simulate", out_dir=tmp_path)
+    assert report["exit"]["seed"] == 99
+
+
 def test_reports_identical_across_runs_and_threads(tmp_path):
     config = write_config(tmp_path, rotational_config())
     dirs = [tmp_path / d for d in ("a", "b", "c")]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viability import geometry, mc_simulator, sde_model
+from viability import geometry, mc_simulator, sde_model, seeds
 from viability.errors import ImmediateExit, NonFinite
 
 
@@ -173,6 +173,52 @@ def test_isolated_exiting_paths_match_kernel_rows():
     assert est.n_exits == exited.sum()
 
 
+def _full_window_reference(model, domain, starts, n_steps, dt, seed, first_index):
+    """Each path alone: whole (WINDOW, n) windows from its stream, em_step."""
+    W = mc_simulator.WINDOW
+    states = np.array(starts, dtype=float)
+    steps = np.full(len(starts), n_steps)
+    exited = np.zeros(len(starts), dtype=bool)
+    for i in range(len(starts)):
+        gen = seeds.path_generator(seed, first_index + i)
+        x = states[i]
+        for s in range(n_steps):
+            if s % W == 0:
+                dW = gen.standard_normal((W, x.size)) * np.sqrt(dt)
+            x = mc_simulator.em_step(model, s * dt, x, dt, dW[s % W])
+            if domain is not None and geometry.signed_level(domain, x[None])[0] > 0.0:
+                exited[i], steps[i] = True, s + 1
+                break
+        states[i] = x
+    return states, steps, exited
+
+
+@pytest.mark.parametrize("extra", [-424, 0, 5])
+@pytest.mark.parametrize("with_domain", [True, False])
+def test_kernel_matches_full_window_reference(extra, with_domain):
+    """Drawing only the rows up to the horizon leaves every increment a path
+    uses equal to the full-window layout."""
+    n_steps = mc_simulator.WINDOW + extra
+    dt = 2.0**-12
+    model = sde_model.brownian(3)
+    domain = geometry.ball([0.0, 0.0, 0.0], 0.8) if with_domain else None
+    starts = np.zeros((12, 3))
+    states, steps, exited, nonfinite = mc_simulator._simulate_block(
+        model, domain, starts, n_steps * dt, dt, 5, 3
+    )
+    ref_states, ref_steps, ref_exited = _full_window_reference(
+        model, domain, starts, n_steps, dt, 5, 3
+    )
+    np.testing.assert_array_equal(states, ref_states)
+    np.testing.assert_array_equal(steps, ref_steps)
+    np.testing.assert_array_equal(exited, ref_exited)
+    assert not nonfinite.any()
+    if with_domain:
+        assert 0 < exited.sum() < len(starts)
+    else:
+        assert not exited.any()
+
+
 def test_exit_count_monotone_in_horizon():
     # with a shared seed, the trajectory prefix is identical, so any path
     # that exits by the shorter horizon also exits by the longer one
@@ -243,6 +289,45 @@ def test_overflowing_paths_counted_not_raised_in_estimates():
             model, _whole_space(1), [1.0], T=200.0, dt=1.0, n_paths=4, seed=1
         )
     assert est.n_nonfinite == 4
+    assert est.n_exits == 0
+
+
+def test_overflow_with_finite_level_counts_as_nonfinite():
+    # the level stays -1.0 at inf and nan states, so only the finiteness
+    # test of the state itself can stop these paths
+    domain = geometry.ImplicitDomain(
+        dimension=1,
+        kind="custom",
+        center=np.zeros(1),
+        level_fn=lambda x: np.full(np.shape(x)[:-1], -1.0),
+        gradient_fn=lambda x: np.zeros(1),
+        hessian_fn=lambda x: np.zeros((1, 1)),
+        params={},
+    )
+    model = sde_model.outward(1, rate=50.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = mc_simulator.exit_probability(
+            model, domain, [1.0], T=200.0, dt=1.0, n_paths=4, seed=1
+        )
+    assert est.n_nonfinite == 4
+    assert est.n_exits == 0
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [geometry.ball([0.0, 0.0], 10.0), geometry.ellipsoid([0.0, 0.0], [10.0, 5.0])],
+)
+def test_overflow_on_builtin_domains_is_nonfinite_not_exit(domain):
+    # the first step overflows to (inf, 0), whose level is +inf: the path
+    # must be counted as non-finite, not as an exit
+    model = sde_model.outward(2, rate=1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = mc_simulator.exit_probability(
+            model, domain, [5.0, 0.0], T=1.0, dt=0.5, n_paths=3, seed=1
+        )
+        with pytest.raises(NonFinite):
+            mc_simulator.simulate_path(model, domain, [5.0, 0.0], 1.0, 0.5, seed=1)
+    assert est.n_nonfinite == 3
     assert est.n_exits == 0
 
 
