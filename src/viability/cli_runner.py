@@ -50,7 +50,6 @@ PROBE_DEFAULTS = {
     "n_points": 200,
     "tol_shell_factor": 1.0,
     "time": 0.0,
-    "initial_cloud": None,
 }
 SIM_DEFAULTS = {
     "x0": None,  # domain center when omitted
@@ -109,11 +108,6 @@ def resolve_config(raw: dict) -> dict:
         )
 
     check = cfg["check"]
-    grid = check["eps_grid"]
-    if len(grid) < 3 or any(e <= 0 for e in grid) or any(
-        b >= a for a, b in zip(grid, grid[1:])
-    ):
-        raise ConfigError("check.eps_grid must be >= 3 positive, strictly decreasing values")
     if check["samples_per_eps"] < 1:
         raise ConfigError("check.samples_per_eps must be >= 1")
 
@@ -128,16 +122,15 @@ def resolve_config(raw: dict) -> dict:
         sim["x0"] = [float(v) for v in domain.center]
     if sim["seed"] is None:
         sim["seed"] = cfg["seed"]
-    if sim["dt"] <= 0 or sim["T"] <= 0 or sim["dt"] > sim["T"]:
-        raise ConfigError("sim requires 0 < dt <= T")
     if sim["n_paths"] < 1:
         raise ConfigError("sim.n_paths must be >= 1")
-    if sim["dt_list"] is not None:
-        lst = sim["dt_list"]
-        if not lst or any(d <= 0 for d in lst) or any(
-            b >= a for a, b in zip(lst, lst[1:])
-        ):
-            raise ConfigError("sim.dt_list must be positive and strictly decreasing")
+    try:  # the library's own rules, which the runs apply again
+        theorem_checker._validate_grid(check["eps_grid"])
+        mc_simulator._n_steps(sim["T"], sim["dt"])
+        if sim["dt_list"] is not None:
+            mc_simulator._check_dt_list(sim["T"], sim["dt_list"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"check.eps_grid, sim.T, sim.dt or sim.dt_list: {exc}") from exc
 
     quad = cfg["quad"]
     if quad["nodes_per_axis"] < 4:

@@ -79,15 +79,26 @@ def em_step(model: SdeModel, t: float, x, dt: float, dW) -> np.ndarray:
 def _em_update(model, t, x, dt, dW):
     """x + a dt + sum_k b_k dW_k for a state (n,) or a batch (m, n)."""
     out = x + model.drift(t, x) * dt
-    for k, col in enumerate(model.diffusion_columns):
-        out = out + col(t, x) * dW[..., k : k + 1]
+    b = model.diffusion(t, x)
+    for k in range(b.shape[-1]):
+        out = out + b[..., k] * dW[..., k : k + 1]
     return out
 
 
 def _n_steps(T: float, dt: float) -> int:
     if dt <= 0.0 or T <= 0.0 or dt > T:
-        raise ValueError("need 0 < dt <= T")
+        raise ValueError(f"need 0 < dt <= T, got dt={dt} and T={T}")
     return max(1, int(round(T / dt)))
+
+
+def _check_dt_list(T: float, dt_list: Sequence[float]) -> np.ndarray:
+    """The steps of a dt study: nonempty, decreasing, each valid for T."""
+    arr = np.asarray(dt_list, dtype=float)
+    if arr.size < 1 or np.any(np.diff(arr) >= 0):
+        raise ValueError("dt_list must be nonempty and strictly decreasing")
+    for dt in arr:
+        _n_steps(T, float(dt))
+    return arr
 
 
 def _simulate_block(model, domain, starts, T, dt, seed, first_index):
@@ -264,9 +275,7 @@ def dt_convergence_study(
     Separates genuine exits from discretization artifacts: an estimate that
     shrinks as dt decreases indicates scheme-induced leakage.
     """
-    arr = np.asarray(dt_list, dtype=float)
-    if arr.size < 1 or np.any(np.diff(arr) >= 0):
-        raise ValueError("dt_list must be nonempty and strictly decreasing")
+    arr = _check_dt_list(T, dt_list)
     return [
         exit_probability(model, domain, x0, T, float(dt), n_paths, seed, block, threads)
         for dt in arr

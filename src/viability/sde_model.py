@@ -1,7 +1,9 @@
 """SDE coefficient families, the diffusion matrix, and regularity spot checks.
 
-Models represent dX = a(t, x) dt + sum_k b_k(t, x) dW_k with n driving noise
-channels in dimension n. Built-in families are autonomous, but every evaluation
+Models represent dX = a(t, x) dt + sum_k b_k(t, x) dW_k in dimension n. A
+family declares k <= n noise channels, and channel k is always driven by the
+Brownian coordinate dW_k, so a family may leave off only trailing channels that
+are identically zero. Built-in families are autonomous, but every evaluation
 threads a time argument so inhomogeneous families can be added behind the same
 interface. Coefficient callables broadcast over a leading batch axis.
 """
@@ -18,17 +20,22 @@ FD_REL_STEP = 1e-6
 
 @dataclass(frozen=True)
 class SdeModel:
-    """Drift, diffusion columns, and their spatial derivatives.
+    """Drift, diffusion matrix, and its spatial derivatives.
 
-    diffusion_columns holds one callable per noise channel; jacobian returns
-    the stacked arrays d b_k,i / d x_j with shape (channels, n, n). Models are
-    immutable after construction and all evaluations are pure.
+    drift(t, x) returns a(t, x) with the shape of x: (n,) for one point or
+    (m, n) for a batch. diffusion(t, x) returns the matrix b = [b_1 ... b_k]
+    with the columns side by side, shape (n, k) for one point or (m, n, k) for
+    a batch; it may be a read-only view, so callers must not write to it.
+    Each row of a batch equals that point evaluated alone, bit for bit.
+    jacobian(t, x) returns d b_k,i / d x_j for one point with shape (k, n, n),
+    or is None for a finite-difference fallback. Models are immutable after
+    construction and all evaluations are pure.
     """
 
     dimension: int
     family: str
     drift: Callable
-    diffusion_columns: tuple
+    diffusion: Callable
     jacobian: Callable | None
     params: dict
 
@@ -49,29 +56,22 @@ class RegularityReport:
 
 
 def brownian(dimension: int, scale: float = 1.0) -> SdeModel:
-    """Pure diffusion: a = 0, b_k = scale * e_k."""
+    """Pure diffusion: a = 0, b = scale * I (n channels)."""
     n = dimension
     s = float(scale)
+    b = s * np.eye(n)
 
     def drift(t, x):
         x = np.asarray(x, dtype=float)
         return np.zeros_like(x)
 
-    def make_col(k):
-        def col(t, x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            out[..., k] = s
-            return out
-
-        return col
-
-    cols = tuple(make_col(k) for k in range(n))
+    def diffusion(t, x):
+        return np.broadcast_to(b, np.shape(x) + (n,))
 
     def jac(t, x):
         return np.zeros((n, n, n))
 
-    return SdeModel(n, "brownian", drift, cols, jac, {"scale": s})
+    return SdeModel(n, "brownian", drift, diffusion, jac, {"scale": s})
 
 
 def ou_inward(dimension: int, rate: float = 1.0) -> SdeModel:
@@ -82,24 +82,19 @@ def ou_inward(dimension: int, rate: float = 1.0) -> SdeModel:
     def drift(t, x):
         return -r * np.asarray(x, dtype=float)
 
-    def make_col():
-        def col(t, x):
-            return np.zeros_like(np.asarray(x, dtype=float))
-
-        return col
-
-    cols = tuple(make_col() for _ in range(n))
+    def diffusion(t, x):
+        return np.zeros(np.shape(x) + (0,))
 
     def jac(t, x):
-        return np.zeros((n, n, n))
+        return np.zeros((0, n, n))
 
-    return SdeModel(n, "ou_inward", drift, cols, jac, {"rate": r})
+    return SdeModel(n, "ou_inward", drift, diffusion, jac, {"rate": r})
 
 
 def rotational(spin: float = 1.0, inward_rate: float = 1.0) -> SdeModel:
     """Planar model with inward drift and tangential noise.
 
-    a(x) = -inward_rate * x; the single active noise column is
+    a(x) = -inward_rate * x; the single noise channel is
     b_1(x) = spin * (-x_2, x_1), which is orthogonal to x everywhere, so the
     noise never pushes across origin-centered circles.
     """
@@ -108,21 +103,18 @@ def rotational(spin: float = 1.0, inward_rate: float = 1.0) -> SdeModel:
     def drift(t, x):
         return -rho * np.asarray(x, dtype=float)
 
-    def col1(t, x):
+    def diffusion(t, x):
         x = np.asarray(x, dtype=float)
-        return np.stack([-s * x[..., 1], s * x[..., 0]], axis=-1)
-
-    def col2(t, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
+        return np.stack([-s * x[..., 1], s * x[..., 0]], axis=-1)[..., None]
 
     def jac(t, x):
-        out = np.zeros((2, 2, 2))
+        out = np.zeros((1, 2, 2))
         out[0, 0, 1] = -s
         out[0, 1, 0] = s
         return out
 
     return SdeModel(
-        2, "rotational", drift, (col1, col2), jac, {"spin": s, "inward_rate": rho}
+        2, "rotational", drift, diffusion, jac, {"spin": s, "inward_rate": rho}
     )
 
 
@@ -148,30 +140,30 @@ def linear(A, c=None, B=None, d=None) -> SdeModel:
         raise ValueError("need one B matrix and one d vector per channel")
 
     def drift(t, x):
+        return _affine(A, c, np.asarray(x, dtype=float))
+
+    def diffusion(t, x):
         x = np.asarray(x, dtype=float)
-        return x @ A.T + c
+        return np.stack([_affine(Bk, dk, x) for Bk, dk in zip(B, d)], axis=-1)
 
-    def make_col(k):
-        Bk, dk = B[k], d[k]
-
-        def col(t, x):
-            x = np.asarray(x, dtype=float)
-            return x @ Bk.T + dk
-
-        return col
-
-    cols = tuple(make_col(k) for k in range(n))
     jac_stack = np.stack(B)
 
     def jac(t, x):
         return jac_stack
 
     model = SdeModel(
-        n, "linear", drift, cols, jac,
+        n, "linear", drift, diffusion, jac,
         {"A": A, "c": c, "B": [Bk for Bk in B], "d": [dk for dk in d]},
     )
     _self_test_jacobian(model)
     return model
+
+
+def _affine(M: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """v + M x for a point (n,) or each row of a batch (m, n), summed term by
+    term so a row equals the point evaluated alone bit for bit (a BLAS
+    product x @ M.T may round a row differently inside a batch)."""
+    return sum((x[..., j, None] * M[:, j] for j in range(M.shape[1])), v)
 
 
 def zero(dimension: int) -> SdeModel:
@@ -211,31 +203,25 @@ def _self_test_jacobian(model: SdeModel, points: int = 3, seed: int = 424242):
 
 def _fd_jacobian(model: SdeModel, s: float, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    n = model.dimension
-    k_channels = len(model.diffusion_columns)
     h = FD_REL_STEP * (1.0 + float(np.linalg.norm(x)))
-    out = np.zeros((k_channels, n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = h
-        for k, col in enumerate(model.diffusion_columns):
-            out[k, :, j] = (col(s, x + e) - col(s, x - e)) / (2.0 * h)
-    return out
+    steps = h * np.eye(model.dimension)  # row j is h e_j
+    diff = model.diffusion(s, x + steps) - model.diffusion(s, x - steps)
+    return np.transpose(diff, (2, 1, 0)) / (2.0 * h)  # (j, i, k) -> (k, i, j)
 
 
 def sigma(model: SdeModel, s: float, x) -> np.ndarray:
     """Diffusion matrix sigma_ij = sum_k b_ki b_kj; symmetric PSD."""
     x = np.asarray(x, dtype=float)
     n = model.dimension
-    out = np.zeros(x.shape[:-1] + (n, n)) if x.ndim > 1 else np.zeros((n, n))
-    for col in model.diffusion_columns:
-        b = col(s, x)
-        out += np.einsum("...i,...j->...ij", b, b)
+    b = model.diffusion(s, x)
+    out = np.zeros(x.shape[:-1] + (n, n))
+    for k in range(b.shape[-1]):
+        out += np.einsum("...i,...j->...ij", b[..., k], b[..., k])
     return out
 
 
 def diffusion_jacobian(model: SdeModel, s: float, x) -> np.ndarray:
-    """d b_k,i / d x_j stacked over channels, shape (channels, n, n).
+    """d b_k,i / d x_j stacked over channels, shape (k, n, n).
 
     Analytic for the built-in families; central finite differences with step
     1e-6 * (1 + |x|) otherwise.
@@ -271,19 +257,19 @@ def check_regularity(
         x = rng.uniform(lo, hi)
         y = rng.uniform(lo, hi)
         for s in times:
-            for pt in (x, y):
-                a = model.drift(s, pt)
+            ax, ay = model.drift(s, x), model.drift(s, y)
+            bx, by = model.diffusion(s, x), model.diffusion(s, y)
+            for pt, a, b in ((x, ax, bx), (y, ay, by)):
                 g = float(np.dot(a, a))
-                for col in model.diffusion_columns:
-                    b = col(s, pt)
-                    g += float(np.dot(b, b))
+                for k in range(b.shape[-1]):
+                    g += float(np.dot(b[:, k], b[:, k]))
                 max_growth = max(max_growth, g / (1.0 + float(np.dot(pt, pt))))
             gap = float(np.linalg.norm(x - y))
             if gap < 1e-12:
                 continue
-            num = float(np.linalg.norm(model.drift(s, x) - model.drift(s, y)))
-            for col in model.diffusion_columns:
-                num += float(np.linalg.norm(col(s, x) - col(s, y)))
+            num = float(np.linalg.norm(ax - ay))
+            for k in range(bx.shape[-1]):
+                num += float(np.linalg.norm(bx[:, k] - by[:, k]))
             max_lip = max(max_lip, num / gap)
     passed = max_lip <= L and max_growth <= L * L
     return RegularityReport(max_lip, max_growth, pairs, float(L), passed)

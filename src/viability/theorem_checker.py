@@ -171,9 +171,10 @@ def condition2_profile(
     """Per-eps sup over samples, times, and noise channels of |b_j . nu|."""
 
     def pointwise(s, smp):
+        b = model.diffusion(s, smp.point)
         return max(
-            abs(float(np.dot(col(s, smp.point), smp.normal)))
-            for col in model.diffusion_columns
+            (abs(float(np.dot(b[:, k], smp.normal))) for k in range(b.shape[-1])),
+            default=0.0,
         )
 
     return _profile(model, domain, eps_grid, time_grid, samples_per_eps, seed, pointwise)
@@ -221,10 +222,10 @@ def condition3_value(
     z, nu = sample.point, sample.normal
     a = model.drift(s, z)
     jac = sde_model.diffusion_jacobian(model, s, z)
+    b = model.diffusion(s, z)
     corr = 0.0
-    for k, col in enumerate(model.diffusion_columns):
-        b = col(s, z)
-        corr += float(nu @ jac[k] @ b)
+    for k in range(b.shape[-1]):
+        corr += float(nu @ jac[k] @ b[:, k])
     return float(np.dot(a, nu)) - 0.5 * corr
 
 

@@ -286,6 +286,30 @@ def test_invalid_configs_raise_config_error(tmp_path):
         cli_runner.run("unused.json", "teleport")
 
 
+@pytest.mark.parametrize(
+    "section,values",
+    [
+        ("check", {"eps_grid": [0.2, 0.1]}),
+        ("check", {"eps_grid": [0.2, 0.1, -0.05]}),
+        ("sim", {"T": 0.5, "dt": 1.0}),
+        ("sim", {"T": -1.0, "dt": 0.01}),
+        ("sim", {"T": 0.5, "dt": 0.1, "dt_list": []}),
+        ("sim", {"T": 0.5, "dt": 0.1, "dt_list": [0.1, 0.1]}),
+        ("sim", {"T": 0.5, "dt": 0.1, "dt_list": [0.1, -0.1]}),
+        # a dt_list step longer than the horizon
+        ("sim", {"T": 0.5, "dt": 0.1, "dt_list": [1.0, 0.1]}),
+        # the CLI never samples an initial cloud, so the key is unknown
+        ("probe", {"initial_cloud": {"kind": "point", "x": [0.0, 0.0]}}),
+    ],
+)
+def test_bad_section_values_are_config_errors(tmp_path, section, values):
+    cfg = rotational_config(**{section: values})
+    with pytest.raises(ConfigError):
+        cli_runner.resolve_config(cfg)
+    config = write_config(tmp_path, cfg)
+    assert cli_runner.main(["full", "--config", config, "--out", str(tmp_path)]) == 3
+
+
 def test_ellipsoid_domain_full_run(tmp_path):
     config = write_config(
         tmp_path,

@@ -58,15 +58,25 @@ def test_em_step_diffusion_uses_increments():
     np.testing.assert_allclose(out, 3.0 * dW, atol=1e-15)
 
 
+def _affine_model():
+    """A linear model whose drift and noise columns all depend on x."""
+    return sde_model.linear(
+        [[-0.7, 0.3], [0.2, -0.9]],
+        c=[0.1, -0.3],
+        B=[[[0.3, -0.1], [0.7, 0.2]], [[-0.4, 0.6], [0.1, 0.3]]],
+        d=[[0.2, 0.1], [-0.1, 0.3]],
+    )
+
+
 def test_em_step_batch_matches_single():
-    model = sde_model.rotational(spin=1.2, inward_rate=0.4)
     rng = np.random.default_rng(17)
     X = rng.uniform(-1.0, 1.0, size=(6, 2))
     dW = rng.normal(size=(6, 2)) * 0.1
-    batch = mc_simulator.em_step(model, 0.3, X, 0.01, dW)
-    for i in range(6):
-        single = mc_simulator.em_step(model, 0.3, X[i], 0.01, dW[i])
-        np.testing.assert_array_equal(batch[i], single)
+    for model in (sde_model.rotational(spin=1.2, inward_rate=0.4), _affine_model()):
+        batch = mc_simulator.em_step(model, 0.3, X, 0.01, dW)
+        for i in range(6):
+            single = mc_simulator.em_step(model, 0.3, X[i], 0.01, dW[i])
+            np.testing.assert_array_equal(batch[i], single)
 
 
 def test_em_step_rejects_bad_dt_and_overflow():
@@ -132,16 +142,16 @@ def test_exit_probability_independent_of_blocking_and_threads():
 def test_isolated_path_matches_blocked_rows():
     """A path simulated alone must consume its stream exactly as inside a
     vectorized block."""
-    model = sde_model.brownian(2)
     huge = geometry.ball([0.0, 0.0], 1e9)
     starts = np.tile([0.1, -0.2], (5, 1))
-    finals = mc_simulator.final_states(model, starts, T=0.1, dt=0.01, seed=21)
-    for i in range(5):
-        solo = mc_simulator.simulate_path(
-            model, huge, starts[i], 0.1, 0.01, seed=21, path_index=i
-        )
-        assert not solo.exited
-        np.testing.assert_array_equal(solo.final_state, finals[i])
+    for model in (sde_model.brownian(2), _affine_model()):
+        finals = mc_simulator.final_states(model, starts, T=0.1, dt=0.01, seed=21)
+        for i in range(5):
+            solo = mc_simulator.simulate_path(
+                model, huge, starts[i], 0.1, 0.01, seed=21, path_index=i
+            )
+            assert not solo.exited
+            np.testing.assert_array_equal(solo.final_state, finals[i])
 
 
 def test_isolated_exiting_paths_match_kernel_rows():

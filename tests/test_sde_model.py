@@ -71,13 +71,34 @@ def test_sigma_linear_matches_column_outer_products():
     np.testing.assert_allclose(sde_model.sigma(model, 0.0, x), expected, atol=1e-14)
 
 
-def test_rotational_jacobian_matches_finite_differences():
-    model = sde_model.rotational(spin=1.7, inward_rate=0.3)
+# (model, channel count k) for each family kind
+FAMILIES = [
+    (sde_model.brownian(3, scale=0.5), 3),
+    (sde_model.ou_inward(2, rate=1.5), 0),
+    (sde_model.rotational(spin=1.7, inward_rate=0.3), 1),
+    (
+        sde_model.linear(
+            [[0.2, -1.0], [0.5, 0.1]],
+            c=[0.3, -0.2],
+            B=[[[1.0, 2.0], [0.0, -1.0]], [[0.5, 0.0], [0.3, 0.9]]],
+            d=[[0.1, 0.0], [-0.2, 0.4]],
+        ),
+        2,
+    ),
+    (sde_model.zero(2), 2),
+]
+FAMILY_IDS = ["brownian", "ou_inward", "rotational", "linear", "zero"]
+
+
+@pytest.mark.parametrize("model,k", FAMILIES, ids=FAMILY_IDS)
+def test_diffusion_jacobian_matches_finite_differences(model, k):
+    n = model.dimension
     rng = np.random.default_rng(9)
     for _ in range(5):
-        x = rng.uniform(-1.5, 1.5, size=2)
+        x = rng.uniform(-1.5, 1.5, size=n)
         ana = sde_model.diffusion_jacobian(model, 0.0, x)
         num = sde_model._fd_jacobian(model, 0.0, x)
+        assert ana.shape == num.shape == (k, n, n)
         np.testing.assert_allclose(ana, num, atol=1e-8)
 
 
@@ -88,11 +109,12 @@ def test_diffusion_jacobian_fd_fallback():
     def drift(t, x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    def col(t, x):
+    def diffusion(t, x):
         x = np.asarray(x, dtype=float)
-        return np.stack([np.sin(x[..., 0]) * x[..., 1], x[..., 0] ** 2], axis=-1)
+        col = np.stack([np.sin(x[..., 0]) * x[..., 1], x[..., 0] ** 2], axis=-1)
+        return col[..., None]
 
-    model = sde_model.SdeModel(2, "custom", drift, (col,), None, {})
+    model = sde_model.SdeModel(2, "custom", drift, diffusion, None, {})
     x = np.array([0.4, -0.8])
     got = sde_model.diffusion_jacobian(model, 0.0, x)
     expected = np.array(
@@ -112,8 +134,8 @@ def test_outward_drift_points_away_from_origin():
     model = sde_model.outward(2, rate=0.7)
     x = np.array([0.5, -0.25])
     np.testing.assert_allclose(model.drift(0.0, x), 0.7 * x, atol=1e-15)
-    for col in model.diffusion_columns:
-        assert np.all(col(0.0, x) == 0.0)
+    assert model.diffusion(0.0, x).shape == (2, 2)
+    assert np.all(model.diffusion(0.0, x) == 0.0)
 
 
 def test_builtin_families_are_autonomous():
@@ -124,20 +146,21 @@ def test_builtin_families_are_autonomous():
     ):
         x = np.array([0.3, 0.9])
         np.testing.assert_array_equal(model.drift(0.0, x), model.drift(7.0, x))
-        for col in model.diffusion_columns:
-            np.testing.assert_array_equal(col(0.0, x), col(7.0, x))
+        np.testing.assert_array_equal(model.diffusion(0.0, x), model.diffusion(7.0, x))
 
 
-def test_drift_broadcasts_over_batches():
-    model = sde_model.rotational(spin=2.0, inward_rate=0.5)
-    pts = np.array([[0.1, 0.2], [-1.0, 3.0]])
+@pytest.mark.parametrize("model,k", FAMILIES, ids=FAMILY_IDS)
+def test_coefficients_broadcast_over_batches(model, k):
+    n = model.dimension
+    pts = np.random.default_rng(4).uniform(-3.0, 3.0, size=(4, n))
     batch_a = model.drift(0.0, pts)
-    batch_b = model.diffusion_columns[0](0.0, pts)
-    assert batch_a.shape == (2, 2)
-    assert batch_b.shape == (2, 2)
+    batch_b = model.diffusion(0.0, pts)
+    assert batch_a.shape == (4, n)
+    assert batch_b.shape == (4, n, k)
     for i, pt in enumerate(pts):
+        assert model.diffusion(0.0, pt).shape == (n, k)
         np.testing.assert_array_equal(batch_a[i], model.drift(0.0, pt))
-        np.testing.assert_array_equal(batch_b[i], model.diffusion_columns[0](0.0, pt))
+        np.testing.assert_array_equal(batch_b[i], model.diffusion(0.0, pt))
 
 
 def test_check_regularity_brownian_passes():

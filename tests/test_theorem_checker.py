@@ -139,13 +139,13 @@ def test_condition3_profile_honors_time_grid():
     def drift(t, x):
         return -(1.0 + t) * np.asarray(x, dtype=float)
 
-    def col(t, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
+    def diffusion(t, x):
+        return np.zeros(np.shape(x) + (1,))
 
     def jac(t, x):
         return np.zeros((1, 2, 2))
 
-    model = sde_model.SdeModel(2, "custom", drift, (col,), jac, {})
+    model = sde_model.SdeModel(2, "custom", drift, diffusion, jac, {})
     late = theorem_checker.condition3_profile(
         model, unit_ball(), (0.2, 0.1, 0.05), (1.0,), 50, seed=5
     )
