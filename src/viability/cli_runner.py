@@ -3,9 +3,9 @@
 One JSON configuration file declares the model, the domain, and the parameter
 groups for the checker, the shell probe, and the simulator. The report echoes
 the fully resolved configuration, so a report alone suffices to reproduce the
-run. Worker count is execution infrastructure, not run semantics, and is
-deliberately absent from the echo: reports are byte-identical across thread
-counts (the timestamp field aside).
+run. Every stage runs in the calling thread; `--threads` is still accepted
+and has no effect, so it is absent from the echo and reports do not depend
+on it (the timestamp field aside).
 
 Exit codes: 0 when the requested checks pass (for `full`, invariance is both
 predicted and observed), 1 on a definite failure, 2 when inconclusive, 3 on a
@@ -65,6 +65,23 @@ QUAD_DEFAULTS = {
     "qmc_points": mollifier.DEFAULT_QMC_POINTS,
 }
 
+# (section, key) -> least value of each count; a None section is the root.
+COUNTS = {
+    (None, "seed"): 0,
+    ("check", "samples_per_eps"): 1,
+    ("check", "regularity_pairs"): 1,
+    ("probe", "n_points"): 1,
+    ("sim", "n_paths"): 1,
+    ("sim", "seed"): 0,
+    ("quad", "nodes_per_axis"): 4,
+    ("quad", "qmc_points"): 1,
+}
+REALS = {
+    "check": ("delta_abs", "delta_margin", "p_min", "lipschitz_L"),
+    "probe": ("eps", "tol_shell_factor", "time"),
+    "sim": ("T", "dt", "p_max"),
+}
+
 
 def _merge_section(raw: dict, name: str, defaults: dict) -> dict:
     section = dict(defaults)
@@ -89,13 +106,29 @@ def resolve_config(raw: dict) -> dict:
     cfg = {
         "model": raw["model"],
         "domain": raw["domain"],
-        "seed": int(raw.get("seed", 12345)),
+        "seed": raw.get("seed", 12345),
         "check": _merge_section(raw, "check", CHECK_DEFAULTS),
         "probe": _merge_section(raw, "probe", PROBE_DEFAULTS),
         "sim": _merge_section(raw, "sim", SIM_DEFAULTS),
         "quad": _merge_section(raw, "quad", QUAD_DEFAULTS),
         "output": dict(raw.get("output", {"dir": "."})),
     }
+    if cfg["sim"]["seed"] is None:
+        cfg["sim"]["seed"] = cfg["seed"]
+
+    # JSON has one number type per kind; a bool is not a number here.
+    for (section, key), least in COUNTS.items():
+        value = cfg[key] if section is None else cfg[section][key]
+        name = key if section is None else f"{section}.{key}"
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ConfigError(f"{name} must be >= {least}")
+    for section, keys in REALS.items():
+        for key in keys:
+            value = cfg[section][key]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
 
     try:
         model = sde_model.from_config(cfg["model"])
@@ -107,37 +140,19 @@ def resolve_config(raw: dict) -> dict:
             f"model dimension {model.dimension} != domain dimension {domain.dimension}"
         )
 
-    check = cfg["check"]
-    if check["samples_per_eps"] < 1:
-        raise ConfigError("check.samples_per_eps must be >= 1")
-
-    probe = cfg["probe"]
-    if probe["eps"] <= 0:
+    if cfg["probe"]["eps"] <= 0:
         raise ConfigError("probe.eps must be positive")
-    if probe["n_points"] < 1:
-        raise ConfigError("probe.n_points must be >= 1")
 
     sim = cfg["sim"]
     if sim["x0"] is None:
         sim["x0"] = [float(v) for v in domain.center]
-    if sim["seed"] is None:
-        sim["seed"] = cfg["seed"]
-    if sim["n_paths"] < 1:
-        raise ConfigError("sim.n_paths must be >= 1")
     try:  # the library's own rules, which the runs apply again
-        theorem_checker._validate_grid(check["eps_grid"])
+        theorem_checker._validate_grid(cfg["check"]["eps_grid"])
         mc_simulator._n_steps(sim["T"], sim["dt"])
         if sim["dt_list"] is not None:
             mc_simulator._check_dt_list(sim["T"], sim["dt_list"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"check.eps_grid, sim.T, sim.dt or sim.dt_list: {exc}") from exc
-
-    quad = cfg["quad"]
-    if quad["nodes_per_axis"] < 4:
-        raise ConfigError("quad.nodes_per_axis must be >= 4")
-    if quad["qmc_points"] < 1:
-        raise ConfigError("quad.qmc_points must be >= 1")
-
     return cfg
 
 
@@ -185,7 +200,7 @@ def _exit_dict(est) -> dict:
     return asdict(est)
 
 
-def _run_check(model, domain, cfg, threads):
+def _run_check(model, domain, cfg):
     check = cfg["check"]
     checker_cfg = CheckerConfig(
         eps_grid=tuple(check["eps_grid"]),
@@ -201,7 +216,7 @@ def _run_check(model, domain, cfg, threads):
     return theorem_checker.theorem1_report(model, domain, checker_cfg)
 
 
-def _run_probe(model, domain, cfg, threads):
+def _run_probe(model, domain, cfg):
     probe = cfg["probe"]
     return generator_probe.shell_sign_check(
         model,
@@ -213,34 +228,20 @@ def _run_probe(model, domain, cfg, threads):
         tol_shell_factor=float(probe["tol_shell_factor"]),
         nodes_per_axis=int(cfg["quad"]["nodes_per_axis"]),
         qmc_points=int(cfg["quad"]["qmc_points"]),
-        threads=threads,
     )
 
 
-def _run_simulate(model, domain, cfg, threads):
+def _run_simulate(model, domain, cfg):
     sim = cfg["sim"]
-    if sim["dt_list"]:
-        return mc_simulator.dt_convergence_study(
-            model,
-            domain,
-            sim["x0"],
-            float(sim["T"]),
-            [float(d) for d in sim["dt_list"]],
-            int(sim["n_paths"]),
-            int(sim["seed"]),
-            threads=threads,
-        )
-    est = mc_simulator.exit_probability(
+    return mc_simulator.dt_convergence_study(
         model,
         domain,
         sim["x0"],
         float(sim["T"]),
-        float(sim["dt"]),
+        [float(d) for d in sim["dt_list"] or [sim["dt"]]],
         int(sim["n_paths"]),
         int(sim["seed"]),
-        threads=threads,
     )
-    return [est]
 
 
 def _verdict(conditions, estimates, p_max: float) -> str:
@@ -305,14 +306,15 @@ def run(
 ) -> tuple[dict, int]:
     """Execute a pipeline and write report.json plus CSV side files.
 
-    Returns the report dict and the process exit code.
+    Returns the report dict and the process exit code. threads is accepted
+    for existing callers and has no effect.
     """
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     cfg = load_config(config_path)
-    if seed_override is not None:
-        cfg["seed"] = int(seed_override)
-        cfg["sim"]["seed"] = int(seed_override)
+    if seed_override is not None:  # checked like a configured seed
+        sim = dict(cfg["sim"], seed=seed_override)
+        cfg = resolve_config(dict(cfg, seed=seed_override, sim=sim))
     model = sde_model.from_config(cfg["model"])
     domain = geometry.from_config(cfg["domain"])
 
@@ -335,13 +337,13 @@ def run(
     estimates = None
 
     if subcommand in ("check", "full"):
-        conditions = _run_check(model, domain, cfg, threads)
+        conditions = _run_check(model, domain, cfg)
         report["conditions"] = _conditions_dict(conditions)
     if subcommand in ("probe", "full"):
-        probe_result = _run_probe(model, domain, cfg, threads)
+        probe_result = _run_probe(model, domain, cfg)
         report["shell_probe"] = _probe_dict(probe_result)
     if subcommand in ("simulate", "full"):
-        estimates = _run_simulate(model, domain, cfg, threads)
+        estimates = _run_simulate(model, domain, cfg)
         report["exit"] = _exit_dict(estimates[-1])
         if len(estimates) > 1:
             report["exit_estimates"] = [_exit_dict(e) for e in estimates]
@@ -422,7 +424,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory (default from config)")
     parser.add_argument("--seed", type=int, default=None, help="override every configured seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for path and probe loops")
+    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored; every stage runs in one thread")
     args = parser.parse_args(argv)
 
     try:
@@ -431,7 +433,6 @@ def main(argv=None) -> int:
             args.subcommand,
             out_dir=args.out,
             seed_override=args.seed,
-            threads=max(1, args.threads),
         )
         return code
     except ConfigError as exc:

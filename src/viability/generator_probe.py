@@ -10,7 +10,6 @@ and the sign and eps-decay of E eta_eps(cloud) minus the in-domain fraction.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -85,7 +84,6 @@ def shell_sign_check(
     tol_shell_factor: float = 1.0,
     nodes_per_axis: int = mollifier.DEFAULT_NODES_PER_AXIS,
     qmc_points: int = mollifier.DEFAULT_QMC_POINTS,
-    threads: int = 1,
 ) -> ShellProbeResult:
     """Sample the shell and test min A eta_eps >= -tolerance.
 
@@ -113,15 +111,7 @@ def shell_sign_check(
     ind = SmoothedIndicator(
         domain, eps, nodes_per_axis=nodes_per_axis, qmc_points=qmc_points
     )
-
-    def evaluate(p):
-        return apply_generator(model, ind, s, p)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = np.array(list(pool.map(evaluate, points)))
-    else:
-        values = np.array([evaluate(p) for p in points])
+    values = np.array([apply_generator(model, ind, s, p) for p in points])
 
     tol = (
         tol_shell

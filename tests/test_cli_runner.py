@@ -232,6 +232,9 @@ def test_main_exit_codes_for_bad_configs(tmp_path):
         name="unknown.json",
     )
     assert cli_runner.main(["check", "--config", unknown, "--out", str(tmp_path)]) == 3
+    # a seed override is checked like a configured seed
+    good = write_config(tmp_path, rotational_config(), name="good.json")
+    assert cli_runner.main(["check", "--config", good, "--seed", "-1"]) == 3
     # dimension mismatch
     mismatch = write_config(
         tmp_path,
@@ -300,6 +303,14 @@ def test_invalid_configs_raise_config_error(tmp_path):
         ("sim", {"T": 0.5, "dt": 0.1, "dt_list": [1.0, 0.1]}),
         # the CLI never samples an initial cloud, so the key is unknown
         ("probe", {"initial_cloud": {"kind": "point", "x": [0.0, 0.0]}}),
+        # counts are JSON integers and real parameters JSON numbers, not bools
+        ("check", {"samples_per_eps": "40"}),
+        ("probe", {"eps": "0.1"}),
+        ("seed", "abc"),
+        ("sim", {"x0": [0.5, 0.0], "T": 0.5, "dt": 0.01, "n_paths": 10.5}),
+        ("probe", {"n_points": True}),
+        ("sim", {"x0": [0.5, 0.0], "T": True, "dt": 0.01}),
+        ("seed", -1),
     ],
 )
 def test_bad_section_values_are_config_errors(tmp_path, section, values):

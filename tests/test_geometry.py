@@ -17,12 +17,26 @@ def test_signed_level_ball_cases():
     assert geometry.signed_level(d, [0.0, -1.0]) == pytest.approx(0.0, abs=1e-15)
 
 
+BUILT_IN_KINDS = [
+    geometry.ball([0.3, -0.2], 1.0),
+    geometry.ellipsoid([0.5, -0.5], [2.0, 1.0]),
+    geometry.even_p_norm_ball([0.0, 0.1], 1.0, 4),
+    geometry.ball([0.1, 0.0, -0.2], 1.0),
+    geometry.ellipsoid([0.1, 0.0, -0.1], [1.2, 1.0, 0.8]),
+    geometry.even_p_norm_ball([0.0, 0.1, 0.0], 1.0, 4),
+]
+
+
 def test_signed_level_batch_matches_scalar():
-    d = geometry.ellipsoid([0.5, -0.5], [2.0, 1.0])
-    pts = np.array([[0.5, -0.5], [3.0, 0.0], [0.5, 0.5]])
-    batch = d.level_fn(pts)
-    for row, expect in zip(pts, batch):
-        assert d.level_fn(row) == pytest.approx(expect, rel=1e-14)
+    # Bit for bit: simulate_path, a block of one, must stop where its row
+    # in a batch stops.
+    rng = np.random.default_rng(3)
+    for d in BUILT_IN_KINDS:
+        pts = d.center + rng.uniform(-2.0, 2.0, size=(300, d.dimension))
+        batch = d.level_fn(pts)
+        for row, expect in zip(pts, batch):
+            assert d.level_fn(row) == expect
+            assert d.level_fn(row[None, :])[0] == expect
 
 
 def test_outward_normal_radial():
@@ -195,11 +209,16 @@ def test_ball_closed_forms_match_generic_tolerance():
 
 
 def test_signed_boundary_distance_batch_matches_scalar():
-    d = geometry.even_p_norm_ball([0.0, 0.0], 1.0, 4)
-    pts = np.array([[0.0, 0.0], [1.5, 0.2], [0.9, 0.9]])
-    batch = geometry.signed_boundary_distance_batch(d, pts)
-    for row, expect in zip(pts, batch):
-        assert geometry.signed_boundary_distance(d, row) == pytest.approx(expect, abs=1e-10)
+    # Bit for bit: offset_membership uses the scalar form, the lattice the
+    # batch form. Interior points other than the center are left out, since
+    # projection from inside may stop at a stationary point.
+    rng = np.random.default_rng(5)
+    for d in BUILT_IN_KINDS:
+        pts = d.center + rng.uniform(-2.0, 2.0, size=(100, d.dimension))
+        pts = np.vstack([pts[d.level_fn(pts) > 0.0], d.center])
+        batch = geometry.signed_boundary_distance_batch(d, pts)
+        for row, expect in zip(pts, batch):
+            assert geometry.signed_boundary_distance(d, row) == expect
 
 
 @pytest.mark.parametrize(
