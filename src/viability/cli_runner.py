@@ -81,6 +81,39 @@ REALS = {
     "probe": ("eps", "tol_shell_factor", "time"),
     "sim": ("T", "dt", "p_max"),
 }
+# lists of reals, checked when set; model and domain parameters are reals or
+# nested lists of reals, apart from these counts
+REAL_LISTS = (("check", "eps_grid"), ("check", "time_grid"), ("sim", "x0"), ("sim", "dt_list"))
+INTEGER_PARAMS = ("dimension", "p")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_reals(value) -> bool:
+    """A JSON number or a (nested) list of them."""
+    if isinstance(value, list):
+        return all(_is_reals(item) for item in value)
+    return _is_number(value)
+
+
+def _check_declaration(section: str, decl, tag: str):
+    """Types of a model or domain declaration. The tag key names the family
+    or kind; a null is left to the builder, which treats it as absent or
+    rejects it."""
+    if not isinstance(decl, dict):
+        raise ConfigError(f"section {section!r} must be a mapping")
+    for key, value in decl.items():
+        if key == tag or value is None:
+            continue
+        if key in INTEGER_PARAMS:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
+        elif not _is_reals(value):
+            raise ConfigError(
+                f"{section}.{key} must be a number or a list of numbers, got {value!r}"
+            )
 
 
 def _merge_section(raw: dict, name: str, defaults: dict) -> dict:
@@ -127,8 +160,16 @@ def resolve_config(raw: dict) -> dict:
     for section, keys in REALS.items():
         for key in keys:
             value = cfg[section][key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not _is_number(value):
                 raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
+    for section, key in REAL_LISTS:
+        value = cfg[section][key]
+        if value is not None and not (
+            isinstance(value, list) and value and all(map(_is_number, value))
+        ):
+            raise ConfigError(f"{section}.{key} must be a nonempty list of numbers, got {value!r}")
+    _check_declaration("model", cfg["model"], "family")
+    _check_declaration("domain", cfg["domain"], "kind")
 
     try:
         model = sde_model.from_config(cfg["model"])
@@ -146,6 +187,10 @@ def resolve_config(raw: dict) -> dict:
     sim = cfg["sim"]
     if sim["x0"] is None:
         sim["x0"] = [float(v) for v in domain.center]
+    elif len(sim["x0"]) != domain.dimension:
+        raise ConfigError(
+            f"sim.x0 has {len(sim['x0'])} entries, the domain dimension is {domain.dimension}"
+        )
     try:  # the library's own rules, which the runs apply again
         theorem_checker._validate_grid(cfg["check"]["eps_grid"])
         mc_simulator._n_steps(sim["T"], sim["dt"])

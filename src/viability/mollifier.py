@@ -18,6 +18,15 @@ clipped linear cut fraction of their cell rather than a 0/1 indicator value;
 this suppresses the interface quadrature error that second derivatives amplify
 by eps^-2. Dimensions above 3 fall back to a quasi-random estimate over the
 support ball, which spares the grid blow-up but is only piecewise-smooth in x.
+
+Nodes of the window beyond the bump's support (|x - z| >= eps, about half of
+a 3-D window) have weight and derivatives exactly zero, so they are skipped:
+no membership fraction, projection or bump term is computed for them. The
+result is bit-identical to summing the whole window. The gradient and
+Hessian sums run over axis 0 of C-contiguous arrays, which NumPy adds row by
+row, so exact zero rows change nothing; the two scalar sums S and N are
+pairwise, whose rounding depends on the length, so they are taken over the
+whole window with the skipped nodes as zeros.
 """
 
 from __future__ import annotations
@@ -137,8 +146,11 @@ def _bump_terms(V: np.ndarray, eps: float, scale: float, order: int):
     Returns (w, gradient or None, hessian or None): w = scale * exp(-eps^2 /
     (eps^2 - |v|^2)), its derivative in the subtracted argument z of v = x - z
     (the x derivative is the negative), and its second derivatives (the same
-    in x and z). scale is c_eps for omega itself and 1.0 for the raw node
-    weights of eta. Every term is zero at and beyond the cutoff.
+    in x and z). The Hessian is symmetric, so each row holds only its
+    n(n+1)/2 entries (i, j) with i <= j, in np.triu_indices order, as a
+    C-contiguous (m, n(n+1)/2) array; _from_upper rebuilds the matrices.
+    scale is c_eps for omega itself and 1.0 for the raw node weights of eta.
+    Every term is zero at and beyond the cutoff.
     """
     v2 = np.sum(V * V, axis=1)
     w = scale * _bump_values(v2, eps)
@@ -151,13 +163,39 @@ def _bump_terms(V: np.ndarray, eps: float, scale: float, order: int):
     grad = (2.0 * e2) * (q * q * w)[:, None] * V
     if order == 1:
         return w, grad, None
-    outer = V[:, :, None] * V[:, None, :]
-    coeff = 4.0 * e2 * e2 * q**4 * w - 8.0 * e2 * q**3 * w
-    hess = coeff[:, None, None] * outer
+    i, j, diagonal = _upper_index(V.shape[1])
+    # filled column by column, so the array stays C-contiguous: NumPy sums
+    # an F-ordered one pairwise along axis 0, in a different order
+    hess = np.empty((V.shape[0], i.size))
+    for col in range(i.size):
+        np.multiply(V[:, i[col]], V[:, j[col]], out=hess[:, col])
+    hess *= (4.0 * e2 * e2 * q**4 * w - 8.0 * e2 * q**3 * w)[:, None]
     diag = -2.0 * e2 * q * q * w
-    idx = np.arange(V.shape[1])
-    hess[:, idx, idx] += diag[:, None]
+    for col in diagonal:
+        hess[:, col] += diag
     return w, grad, hess
+
+
+@lru_cache(maxsize=8)
+def _upper_index(n: int):
+    """Rows and columns of the n(n+1)/2 entries i <= j of an n x n matrix,
+    in np.triu_indices order, and the positions of the diagonal among them;
+    read-only, because every call with the same n shares the arrays."""
+    i, j = np.triu_indices(n)
+    index = (i, j, np.flatnonzero(i == j))
+    for a in index:
+        a.setflags(write=False)
+    return index
+
+
+def _from_upper(h: np.ndarray, n: int) -> np.ndarray:
+    """Symmetric (..., n, n) matrices from their upper-triangle entries
+    (..., n(n+1)/2), in np.triu_indices order."""
+    i, j, _ = _upper_index(n)
+    out = np.empty(h.shape[:-1] + (n, n))
+    out[..., i, j] = h
+    out[..., j, i] = h
+    return out
 
 
 def omega_gradient(spec: MollifierSpec, x_minus_z) -> np.ndarray:
@@ -181,6 +219,7 @@ def omega_hessian(spec: MollifierSpec, x_minus_z) -> np.ndarray:
     """
     V, single = _as_batch(x_minus_z)
     _, _, hess = _bump_terms(V, spec.radius, spec.c_eps, 2)
+    hess = _from_upper(hess, V.shape[1])
     return hess[0] if single else hess
 
 
@@ -208,21 +247,45 @@ class SmoothedIndicator:
         return 2.0 * self.eps / self.nodes_per_axis
 
 
-def _lattice_window(x: np.ndarray, eps: float, d: float):
-    """Midpoint-lattice nodes of spacing d covering the ball of radius eps
-    around x.
+def _lattice_axes(x: np.ndarray, eps: float, d: float) -> list:
+    """Per-axis coordinates of the midpoint-lattice nodes of spacing d that
+    cover the ball of radius eps around x.
 
     The lattice is anchored at the origin: node k sits at (k + 1/2) * d,
-    independent of the query point. Returns the nodes as rows.
+    independent of the query point.
     """
-    axes_idx = []
+    axes = []
     for xi in x:
         lo = int(np.floor((xi - eps) / d - 0.5))
         hi = int(np.ceil((xi + eps) / d - 0.5))
-        axes_idx.append(np.arange(lo, hi + 1))
-    grids = np.meshgrid(*axes_idx, indexing="ij")
-    idx = np.stack([g.ravel() for g in grids], axis=-1)
-    return (idx + 0.5) * d
+        axes.append((np.arange(lo, hi + 1) + 0.5) * d)
+    return axes
+
+
+def _lattice_window(x: np.ndarray, eps: float, d: float):
+    """The nodes of _lattice_axes(x, eps, d) as rows, last axis fastest."""
+    grids = np.meshgrid(*_lattice_axes(x, eps, d), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def _support_nodes(x: np.ndarray, eps: float, d: float):
+    """The nodes of _lattice_window(x, eps, d) with |x - z| < eps.
+
+    Returns (Z, V, rows, total): the kept nodes and their offsets x - z as
+    rows, their positions in the window and the window's size. Offsets and
+    |x - z|^2 are formed per axis and broadcast over the window, in the same
+    operations, and so with the same bits, as from the window's rows.
+    """
+    axes = _lattice_axes(x, eps, d)
+    offsets = [xi - z for xi, z in zip(x, axes)]
+    v2 = offsets[0] * offsets[0]
+    for o in offsets[1:]:
+        v2 = v2[..., None] + o * o
+    rows = np.flatnonzero(v2 < eps * eps)
+    idx = np.unravel_index(rows, v2.shape)
+    Z = np.stack([z[k] for z, k in zip(axes, idx)], axis=1)
+    V = np.stack([o[k] for o, k in zip(offsets, idx)], axis=1)
+    return Z, V, rows, v2.size
 
 
 def _offset_distances(ind: SmoothedIndicator, Z: np.ndarray, margin: float):
@@ -278,6 +341,15 @@ def _qmc_nodes(ind: SmoothedIndicator, x: np.ndarray):
     return x[None, :] - u[keep]
 
 
+def _zero_padded_sum(values: np.ndarray, rows: np.ndarray, total: int) -> float:
+    """Sum of the length-total vector that holds values at rows and zeros
+    elsewhere. np.sum over a 1-D array is pairwise, so its rounding depends on
+    the length: the padding gives the sum over the whole window bit for bit."""
+    full = np.zeros(total)
+    full[rows] = values
+    return float(np.sum(full))
+
+
 def _eta_core(ind: SmoothedIndicator, x, need_grad: bool, need_hess: bool):
     """Shared evaluation of eta and its derivatives on one node set.
 
@@ -286,24 +358,30 @@ def _eta_core(ind: SmoothedIndicator, x, need_grad: bool, need_hess: bool):
     weighted membership fractions, eta = N / S and the derivatives follow the
     quotient rule, which keeps the constant regions exact and the analytic
     derivatives consistent with finite differences of the computed eta.
+
+    Only the nodes inside the bump's support are evaluated; the module
+    docstring says why the sums still equal those over the whole window.
     """
     x = np.asarray(x, dtype=float)
     n = ind.domain.dimension
     eps = ind.eps
 
     if n <= 3:
-        Z = _lattice_window(x, eps, ind.spacing)
+        Z, V, rows, total = _support_nodes(x, eps, ind.spacing)
         frac = _membership_fractions(ind, Z)
     else:
         Z = _qmc_nodes(ind, x)
+        V = x[None, :] - Z
+        rows = np.flatnonzero(np.sum(V * V, axis=1) < eps * eps)
+        total = V.shape[0]
+        V, Z = V[rows], Z[rows]
         frac = (_offset_distances(ind, Z, 0.0) <= 0.0).astype(float)
 
-    V = x[None, :] - Z
     # raw weights (scale 1.0): the normalization constant cancels in N / S
     order = 2 if need_hess else int(need_grad)
     w, gz, hw = _bump_terms(V, eps, 1.0, order)
-    S = float(np.sum(w))
-    N = float(np.sum(w * frac))
+    S = _zero_padded_sum(w, rows, total)
+    N = _zero_padded_sum(w * frac, rows, total)
     value = min(max(N / S, 0.0), 1.0)
 
     grad = hess = None
@@ -314,8 +392,8 @@ def _eta_core(ind: SmoothedIndicator, x, need_grad: bool, need_hess: bool):
         if need_grad:
             grad = gN / S - N * gS / (S * S)
         if need_hess:
-            hS = hw.sum(axis=0)
-            hN = (hw * frac[:, None, None]).sum(axis=0)
+            hS = _from_upper(hw.sum(axis=0), n)
+            hN = _from_upper((hw * frac[:, None]).sum(axis=0), n)
             s2 = S * S
             cross = np.outer(gN, gS) + np.outer(gS, gN)
             hess = hN / S - cross / s2 - N * hS / s2 + 2.0 * N * np.outer(gS, gS) / (s2 * S)

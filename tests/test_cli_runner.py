@@ -311,6 +311,16 @@ def test_invalid_configs_raise_config_error(tmp_path):
         ("probe", {"n_points": True}),
         ("sim", {"x0": [0.5, 0.0], "T": True, "dt": 0.01}),
         ("seed", -1),
+        # list-valued keys hold JSON numbers; x0 has one per dimension
+        ("sim", {"x0": [0.5, 0.0, 0.0], "T": 0.5, "dt": 0.01}),
+        ("sim", {"x0": "ab", "T": 0.5, "dt": 0.01}),
+        ("check", {"time_grid": "ab"}),
+        ("check", {"time_grid": []}),
+        ("check", {"eps_grid": ["0.2", "0.1", "0.05"]}),
+        # model and domain parameters are JSON numbers too
+        ("model", {"family": "rotational", "spin": "1.0", "inward_rate": 1.0}),
+        ("domain", {"kind": "ball", "center": [0.0, 0.0], "radius": "1"}),
+        ("domain", {"kind": "ball", "center": [0.0, True], "radius": 1.0}),
     ],
 )
 def test_bad_section_values_are_config_errors(tmp_path, section, values):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from viability import geometry, mollifier
+from viability import generator_probe, geometry, mollifier, sde_model
 
 # Frozen values of the unit-ball integral of exp(-1/(1-|u|^2)), computed by
 # adaptive radial quadrature (n <= 3) and a scrambled Sobol volume estimate
@@ -337,6 +337,163 @@ def test_eta_qmc_implicit_domain_matches_per_node_projection():
     expect = np.sum(w * (sd <= 2.0 * ind.eps)) / np.sum(w)
     assert 0.0 < expect < 1.0
     assert abs(mollifier.eta(ind, x) - expect) <= 1e-12
+
+
+# Reference for the bit-identity tests below: the full-window evaluation of
+# eta, which computes every node of the window, including those beyond the
+# bump's support, and keeps whole (N, n, n) Hessian terms. Kept verbatim.
+def _reference_lattice_window(x, eps, d):
+    axes_idx = []
+    for xi in x:
+        lo = int(np.floor((xi - eps) / d - 0.5))
+        hi = int(np.ceil((xi + eps) / d - 0.5))
+        axes_idx.append(np.arange(lo, hi + 1))
+    grids = np.meshgrid(*axes_idx, indexing="ij")
+    idx = np.stack([g.ravel() for g in grids], axis=-1)
+    return (idx + 0.5) * d
+
+
+def _reference_bump_terms(V, eps, scale, order):
+    v2 = np.sum(V * V, axis=1)
+    w = scale * mollifier._bump_values(v2, eps)
+    if order == 0:
+        return w, None, None
+    q = np.zeros_like(v2)
+    mask = v2 < eps * eps
+    q[mask] = 1.0 / (eps * eps - v2[mask])
+    e2 = eps * eps
+    grad = (2.0 * e2) * (q * q * w)[:, None] * V
+    if order == 1:
+        return w, grad, None
+    outer = V[:, :, None] * V[:, None, :]
+    coeff = 4.0 * e2 * e2 * q**4 * w - 8.0 * e2 * q**3 * w
+    hess = coeff[:, None, None] * outer
+    diag = -2.0 * e2 * q * q * w
+    idx = np.arange(V.shape[1])
+    hess[:, idx, idx] += diag[:, None]
+    return w, grad, hess
+
+
+def _reference_eta_core(ind, x, need_grad, need_hess):
+    x = np.asarray(x, dtype=float)
+    n = ind.domain.dimension
+    eps = ind.eps
+
+    if n <= 3:
+        Z = _reference_lattice_window(x, eps, ind.spacing)
+        frac = mollifier._membership_fractions(ind, Z)
+    else:
+        Z = mollifier._qmc_nodes(ind, x)
+        frac = (mollifier._offset_distances(ind, Z, 0.0) <= 0.0).astype(float)
+
+    V = x[None, :] - Z
+    order = 2 if need_hess else int(need_grad)
+    w, gz, hw = _reference_bump_terms(V, eps, 1.0, order)
+    S = float(np.sum(w))
+    N = float(np.sum(w * frac))
+    value = min(max(N / S, 0.0), 1.0)
+
+    grad = hess = None
+    if order:
+        gw = -gz
+        gS = gw.sum(axis=0)
+        gN = (gw * frac[:, None]).sum(axis=0)
+        if need_grad:
+            grad = gN / S - N * gS / (S * S)
+        if need_hess:
+            hS = hw.sum(axis=0)
+            hN = (hw * frac[:, None, None]).sum(axis=0)
+            s2 = S * S
+            cross = np.outer(gN, gS) + np.outer(gS, gN)
+            hess = hN / S - cross / s2 - N * hS / s2 + 2.0 * N * np.outer(gS, gS) / (s2 * S)
+    return value, grad, hess
+
+
+def _bytes(result):
+    return [b"" if part is None else np.asarray(part, dtype=float).tobytes() for part in result]
+
+
+def _probe_points(domain, eps, seed):
+    # interior points, shell points, points just inside 3 eps and points far
+    # outside: these multiples of eps along sampled boundary normals
+    feet = geometry.sample_offset_boundary(domain, 0.0, 2, seed)
+    dists = (-3.0, -0.5, 1.3, 2.0, 2.7, 3.0 * (1.0 - 1e-9), 5.0)
+    return [f.point + d * eps * f.normal for f in feet for d in dists]
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        geometry.ball([0.0, 0.0], 1.0),
+        geometry.ellipsoid([0.1, -0.2], [1.5, 1.0]),
+        geometry.even_p_norm_ball([0.0, 0.0], 1.0, 4),
+        geometry.ball([0.0, 0.0, 0.0], 1.0),
+        geometry.ellipsoid([0.1, 0.0, -0.1], [1.2, 1.0, 0.8]),
+        geometry.even_p_norm_ball([0.0, 0.0, 0.0], 1.0, 4),
+        geometry.ball([0.0] * 4, 1.0),
+    ],
+    ids=["ball2", "ellipsoid2", "pball2", "ball3", "ellipsoid3", "pball3", "ball4_qmc"],
+)
+def test_eta_matches_full_window_evaluation_bit_for_bit(domain):
+    # Nodes beyond the bump's support are skipped; that must move no bit of
+    # eta, its gradient or its Hessian, for every combination of outputs.
+    # qmc_points only acts above 3 dimensions
+    ind = mollifier.SmoothedIndicator(domain, 0.1, qmc_points=2**12)
+    values = []
+    for x in _probe_points(domain, ind.eps, seed=3):
+        for need_grad, need_hess in ((False, False), (True, False), (False, True), (True, True)):
+            got = mollifier._eta_core(ind, x, need_grad, need_hess)
+            expect = _reference_eta_core(ind, x, need_grad, need_hess)
+            assert _bytes(got) == _bytes(expect), (x, need_grad, need_hess)
+        values.append(got[0])
+    # the points reach eta = 1, eta = 0 and the values in between
+    assert 1.0 in values and 0.0 in values
+    assert any(0.0 < v < 1.0 for v in values)
+
+
+def test_omega_hessian_matches_full_matrices_bit_for_bit():
+    spec = mollifier.make_spec(3, 0.1)
+    V = np.random.default_rng(4).uniform(-0.1, 0.1, size=(500, 3))
+    _, _, expect = _reference_bump_terms(V, spec.radius, spec.c_eps, 2)
+    assert mollifier.omega_hessian(spec, V).tobytes() == expect.tobytes()
+
+
+def test_shell_probe_values_match_full_window_evaluation(monkeypatch):
+    model = sde_model.brownian(3, 1.0)
+    domain = geometry.ball([0.0, 0.0, 0.0], 1.0)
+    got = generator_probe.shell_sign_check(model, domain, 0.1, 0.0, 8, seed=20260821)
+    monkeypatch.setattr(mollifier, "_eta_core", _reference_eta_core)
+    expect = generator_probe.shell_sign_check(model, domain, 0.1, 0.0, 8, seed=20260821)
+    assert got.values.tobytes() == expect.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "domain, x",
+    [
+        (geometry.ball([0.0, 0.0], 1.0), [1.15, 0.1]),
+        (geometry.ellipsoid([0.0, 0.0], [1.5, 1.0]), [1.3, 0.6]),
+        (geometry.ball([0.0, 0.0, 0.0], 1.0), [1.15, 0.1, 0.05]),
+        (geometry.even_p_norm_ball([0.0, 0.0, 0.0], 1.0, 4), [0.9, 0.95, 0.1]),
+    ],
+)
+def test_membership_fractions_only_see_the_bump_support(monkeypatch, domain, x):
+    ind = mollifier.SmoothedIndicator(domain, 0.1)
+    x = np.asarray(x)
+    seen = []
+    original = mollifier._membership_fractions
+
+    def recording(ind, Z):
+        seen.append(Z)
+        return original(ind, Z)
+
+    monkeypatch.setattr(mollifier, "_membership_fractions", recording)
+    mollifier.eta_with_derivatives(ind, x)
+    assert len(seen) == 1
+    Z = seen[0]
+    window = _reference_lattice_window(x, ind.eps, ind.spacing)
+    inside = np.sum((x - window) ** 2, axis=1) < ind.eps**2
+    assert 0 < Z.shape[0] == np.count_nonzero(inside) < window.shape[0]
+    assert np.all(np.sum((x - Z) ** 2, axis=1) < ind.eps**2)
 
 
 def test_expected_eta_mixes_known_values():
