@@ -98,12 +98,19 @@ def _is_reals(value) -> bool:
     return _is_number(value)
 
 
-def _check_declaration(section: str, decl, tag: str):
-    """Types of a model or domain declaration. The tag key names the family
-    or kind; a null is left to the builder, which treats it as absent or
-    rejects it."""
+def _check_declaration(section: str, decl, tag: str, known: dict):
+    """Keys and types of a model or domain declaration. The tag key names the
+    family or kind, and known maps each family or kind to the keys it takes;
+    an unknown tag is left to the builder, which rejects it. A null is left to
+    the builder too, which treats it as absent or rejects it."""
     if not isinstance(decl, dict):
         raise ConfigError(f"section {section!r} must be a mapping")
+    if decl.get(tag) in known:
+        unknown = set(decl) - {tag, *known[decl[tag]]}
+        if unknown:
+            raise ConfigError(
+                f"unknown keys in section {section!r} for {tag} {decl[tag]!r}: {sorted(unknown)}"
+            )
     for key, value in decl.items():
         if key == tag or value is None:
             continue
@@ -168,8 +175,8 @@ def resolve_config(raw: dict) -> dict:
             isinstance(value, list) and value and all(map(_is_number, value))
         ):
             raise ConfigError(f"{section}.{key} must be a nonempty list of numbers, got {value!r}")
-    _check_declaration("model", cfg["model"], "family")
-    _check_declaration("domain", cfg["domain"], "kind")
+    _check_declaration("model", cfg["model"], "family", sde_model.FAMILY_KEYS)
+    _check_declaration("domain", cfg["domain"], "kind", geometry.KIND_KEYS)
 
     try:
         model = sde_model.from_config(cfg["model"])

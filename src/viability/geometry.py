@@ -154,6 +154,14 @@ def even_p_norm_ball(center, radius: float, p: int) -> ImplicitDomain:
     )
 
 
+# The keys a domain declaration of each kind may hold, besides "kind".
+KIND_KEYS = {
+    "ball": ("center", "radius"),
+    "ellipsoid": ("center", "semiaxes"),
+    "even_p_norm_ball": ("center", "radius", "p"),
+}
+
+
 def from_config(cfg: dict) -> ImplicitDomain:
     """Build a domain from a configuration mapping (see cli_runner)."""
     kind = cfg.get("kind")

@@ -176,6 +176,15 @@ def outward(dimension: int, rate: float = 1.0) -> SdeModel:
     return linear(rate * np.eye(dimension))
 
 
+# The keys a model declaration of each family may hold, besides "family".
+FAMILY_KEYS = {
+    "brownian": ("dimension", "scale"),
+    "ou_inward": ("dimension", "rate"),
+    "rotational": ("spin", "inward_rate"),
+    "linear": ("A", "c", "B", "d"),
+}
+
+
 def from_config(cfg: dict) -> SdeModel:
     family = cfg.get("family")
     if family == "brownian":

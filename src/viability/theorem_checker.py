@@ -12,12 +12,19 @@ decided by explicit finite rules:
 No finite computation certifies a limit, so the decision parameters
 (delta_abs, delta_margin, p_min) are recorded in the report and every verdict
 is a deterministic, re-checkable function of the stored profiles.
+
+Each sup is the sampled maximum sharpened by local ascent along S_eps from
+the best samples. theorem1_report draws the offset samples once and passes
+them to both conditions. Within a profile the ascents from every start of
+every eps run in lockstep, one batched projection per round; since each row
+of a batched projection depends on that row alone, the sups have the same
+bits as ascents run one start at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -89,66 +96,101 @@ def _tangent_basis(nu: np.ndarray) -> list[np.ndarray]:
     return basis
 
 
-def _reproject(domain: ImplicitDomain, eps: float, x: np.ndarray) -> BoundarySample:
-    foot, _ = geometry.project_to_boundary(domain, x)
-    nu = geometry.outward_normal(domain, foot)
-    return BoundarySample(point=foot + eps * nu, normal=nu, offset=eps)
+def _offset_samples(
+    domain: ImplicitDomain, eps_grid: Sequence[float], samples_per_eps: int, seed: int
+) -> list[list[BoundarySample]]:
+    """The offset samples of each eps, drawn from child_seed(seed, e_idx).
+
+    Both conditions take their sups over these same samples, so a report
+    draws them once.
+    """
+    return [
+        geometry.sample_offset_boundary(domain, eps, samples_per_eps, child_seed(seed, e_idx))
+        for e_idx, eps in enumerate(eps_grid)
+    ]
 
 
-def _refine_sup(
+def _walk(
     domain: ImplicitDomain,
     eps: float,
-    samples: Sequence[BoundarySample],
+    sample: BoundarySample,
+    current: float,
+    scale: float,
     objective: Callable[[BoundarySample], float],
-    values: np.ndarray,
-) -> float:
-    """Sharpen a sampled boundary sup by local ascent along the surface.
+) -> Generator[np.ndarray, np.ndarray, float]:
+    """Local ascent along S_eps from one start sample, as a generator.
 
-    The best few samples are walked along tangent directions with a shrinking
-    step, re-projecting onto S_eps after each move. Deterministic, and the
-    result is never below the sampled maximum.
+    The walk moves along tangent directions with a shrinking step and
+    re-projects onto S_eps after each move; the tangent basis is taken from
+    the sample at the start of each sweep. It yields each move's point, is
+    sent back that point's boundary foot, and returns its best value. A walk
+    without tangent directions (1-D) yields nothing.
     """
-    best = float(np.max(values))
-    order = np.argsort(values)[::-1][:REFINE_TOP]
-    scale = max(eps, 0.05 * geometry.bounding_radius(domain))
-    for start in order:
-        sample = samples[start]
-        current = float(values[start])
-        step = 0.5 * scale
-        for _ in range(REFINE_STEPS):
-            improved = False
-            for t in _tangent_basis(sample.normal):
-                for sgn in (1.0, -1.0):
-                    cand = _reproject(domain, eps, sample.point + sgn * step * t)
-                    val = objective(cand)
-                    if val > current:
-                        sample, current, improved = cand, val, True
-            if not improved:
-                step *= 0.5
-                if step < 1e-6 * scale:
-                    break
-        best = max(best, current)
-    return best
+    step = 0.5 * scale
+    for _ in range(REFINE_STEPS):
+        improved = False
+        for t in _tangent_basis(sample.normal):
+            for sgn in (1.0, -1.0):
+                foot = yield sample.point + sgn * step * t
+                nu = geometry.outward_normal(domain, foot)
+                cand = BoundarySample(point=foot + eps * nu, normal=nu, offset=eps)
+                val = objective(cand)
+                if val > current:
+                    sample, current, improved = cand, val, True
+        if not improved:
+            step *= 0.5
+            if step < 1e-6 * scale:
+                break
+    return current
 
 
 def _profile(
-    model: SdeModel,
     domain: ImplicitDomain,
     eps_grid: Sequence[float],
+    stages: Sequence[Sequence[BoundarySample]],
     time_grid: Sequence[float],
-    samples_per_eps: int,
-    seed: int,
     pointwise: Callable[[float, BoundarySample], float],
 ) -> list[float]:
-    _validate_grid(eps_grid)
-    sups = []
-    for e_idx, eps in enumerate(eps_grid):
-        samples = geometry.sample_offset_boundary(
-            domain, eps, samples_per_eps, child_seed(seed, e_idx)
-        )
-        objective = lambda smp: max(pointwise(s, smp) for s in time_grid)
+    """Per-eps sup of the pointwise functional over the times, sharpened by
+    local ascent from the REFINE_TOP best samples of each eps.
+
+    Every start of every eps is an independent walk, and the walks run in
+    lockstep: each round takes the next move of every live walk and projects
+    all of them in one project_to_boundary_batch call. A row of that batch
+    depends on that row alone, so each walk sees the same feet, and each sup
+    the same bits, as a walk run on its own. Deterministic, and a sup is
+    never below its sampled maximum.
+    """
+    objective = lambda smp: max(pointwise(s, smp) for s in time_grid)
+    reach = 0.05 * geometry.bounding_radius(domain)
+    sups, starts, walks = [], [], []
+    for e_idx, (eps, samples) in enumerate(zip(eps_grid, stages)):
         values = np.array([objective(smp) for smp in samples])
-        sups.append(_refine_sup(domain, eps, samples, objective, values))
+        sups.append(float(np.max(values)))
+        scale = max(eps, reach)
+        for start in np.argsort(values)[::-1][:REFINE_TOP]:
+            starts.append(e_idx)
+            walks.append(
+                _walk(domain, eps, samples[start], float(values[start]), scale, objective)
+            )
+
+    results = [None] * len(walks)
+    live, feet = list(enumerate(walks)), [None] * len(walks)
+    while live:
+        moved, points = [], []
+        for (w_idx, walk), foot in zip(live, feet):
+            try:
+                points.append(walk.send(foot))
+            except StopIteration as done:
+                results[w_idx] = done.value
+            else:
+                moved.append((w_idx, walk))
+        live = moved
+        if points:
+            feet, _ = geometry.project_to_boundary_batch(domain, np.array(points))
+
+    for e_idx, current in zip(starts, results):
+        sups[e_idx] = max(sups[e_idx], current)
     return sups
 
 
@@ -169,6 +211,13 @@ def condition2_profile(
     seed: int,
 ) -> list[float]:
     """Per-eps sup over samples, times, and noise channels of |b_j . nu|."""
+    _validate_grid(eps_grid)
+    stages = _offset_samples(domain, eps_grid, samples_per_eps, seed)
+    return _profile(domain, eps_grid, stages, time_grid, _tangency(model))
+
+
+def _tangency(model: SdeModel) -> Callable[[float, BoundarySample], float]:
+    """The condition-2 functional: max over channels of |b_j . nu|."""
 
     def pointwise(s, smp):
         b = model.diffusion(s, smp.point)
@@ -177,7 +226,7 @@ def condition2_profile(
             default=0.0,
         )
 
-    return _profile(model, domain, eps_grid, time_grid, samples_per_eps, seed, pointwise)
+    return pointwise
 
 
 def condition2_verdict(
@@ -238,11 +287,18 @@ def condition3_profile(
     seed: int,
 ) -> list[float]:
     """Per-eps sup over samples and times of the condition-3 functional."""
+    _validate_grid(eps_grid)
+    stages = _offset_samples(domain, eps_grid, samples_per_eps, seed)
+    return _profile(domain, eps_grid, stages, time_grid, _pressure(model, domain))
+
+
+def _pressure(model: SdeModel, domain: ImplicitDomain) -> Callable[[float, BoundarySample], float]:
+    """The condition-3 functional, condition3_value."""
 
     def pointwise(s, smp):
         return condition3_value(model, domain, s, smp)
 
-    return _profile(model, domain, eps_grid, time_grid, samples_per_eps, seed, pointwise)
+    return pointwise
 
 
 def condition3_verdict(profile: Sequence[float], delta_margin: float = 1e-3) -> str:
@@ -271,8 +327,11 @@ def theorem1_report(
     """Run the regularity spot check and both boundary conditions.
 
     Invariance is predicted only when the regularity check passes and both
-    condition verdicts are holds. Failures inside one phase are recorded in
-    the report and leave the other phases intact.
+    condition verdicts are holds. Both conditions take their sups over one
+    draw of the offset samples, the one condition2_profile and
+    condition3_profile each make alone. Failures inside one phase are
+    recorded in the report and leave the other phases intact; a failed draw
+    is recorded for both conditions.
     """
     cfg = config or CheckerConfig()
     if model.dimension != domain.dimension:
@@ -307,26 +366,30 @@ def theorem1_report(
     except (ViabilityError, ValueError) as exc:
         report.errors.append(f"regularity: {exc}")
 
+    # Both conditions take their sups over the same offset samples.
     try:
-        prof2 = condition2_profile(
-            model, domain, cfg.eps_grid, cfg.time_grid, cfg.samples_per_eps, cfg.seed
-        )
-        report.cond2_sup = [float(v) for v in prof2]
-        report.cond2_ratio = [float(v / e) for v, e in zip(prof2, cfg.eps_grid)]
-        report.cond2_verdict = condition2_verdict(
-            prof2, cfg.eps_grid, cfg.delta_abs, cfg.p_min
-        )
+        stages = _offset_samples(domain, cfg.eps_grid, cfg.samples_per_eps, cfg.seed)
     except (ViabilityError, ValueError) as exc:
-        report.errors.append(f"condition2: {exc}")
+        report.errors += [f"condition2: {exc}", f"condition3: {exc}"]
+    else:
+        try:
+            prof2 = _profile(domain, cfg.eps_grid, stages, cfg.time_grid, _tangency(model))
+            report.cond2_sup = [float(v) for v in prof2]
+            report.cond2_ratio = [float(v / e) for v, e in zip(prof2, cfg.eps_grid)]
+            report.cond2_verdict = condition2_verdict(
+                prof2, cfg.eps_grid, cfg.delta_abs, cfg.p_min
+            )
+        except (ViabilityError, ValueError) as exc:
+            report.errors.append(f"condition2: {exc}")
 
-    try:
-        prof3 = condition3_profile(
-            model, domain, cfg.eps_grid, cfg.time_grid, cfg.samples_per_eps, cfg.seed
-        )
-        report.cond3_sup = [float(v) for v in prof3]
-        report.cond3_verdict = condition3_verdict(prof3, cfg.delta_margin)
-    except (ViabilityError, ValueError) as exc:
-        report.errors.append(f"condition3: {exc}")
+        try:
+            prof3 = _profile(
+                domain, cfg.eps_grid, stages, cfg.time_grid, _pressure(model, domain)
+            )
+            report.cond3_sup = [float(v) for v in prof3]
+            report.cond3_verdict = condition3_verdict(prof3, cfg.delta_margin)
+        except (ViabilityError, ValueError) as exc:
+            report.errors.append(f"condition3: {exc}")
 
     report.invariance_predicted = bool(
         report.regularity is not None

@@ -321,6 +321,9 @@ def test_invalid_configs_raise_config_error(tmp_path):
         ("model", {"family": "rotational", "spin": "1.0", "inward_rate": 1.0}),
         ("domain", {"kind": "ball", "center": [0.0, 0.0], "radius": "1"}),
         ("domain", {"kind": "ball", "center": [0.0, True], "radius": 1.0}),
+        # a key the family or kind does not take, such as a typo
+        ("model", {"family": "brownian", "dimension": 2, "scael": 2.0}),
+        ("domain", {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0, "radus": 3}),
     ],
 )
 def test_bad_section_values_are_config_errors(tmp_path, section, values):

@@ -252,6 +252,41 @@ def test_project_to_boundary_batch_matches_batch_of_one(domain):
     assert np.all(sd[: outside.shape[0]] > 0.0) and np.all(sd[outside.shape[0]:] < 0.0)
 
 
+@pytest.mark.parametrize(
+    "domain",
+    [
+        geometry.ellipsoid([0.0, 0.0], [1.5, 1.0]),
+        geometry.ellipsoid([0.1, 0.0, -0.1], [1.2, 1.0, 0.8]),
+        geometry.even_p_norm_ball([0.0, 0.0], 1.0, 4),
+        geometry.even_p_norm_ball([0.0, 0.2, 0.0], 1.5, 4),
+    ],
+    ids=["ellipse2d", "ellipsoid3d", "p4_ball2d", "p4_ball3d"],
+)
+def test_project_to_boundary_batch_rows_are_bit_identical(domain):
+    # theorem_checker projects the ascent moves of many walks in one batch
+    # and relies on each row matching its projection alone, bit for bit.
+    # Points lie outside K: tangential moves from offset points and points
+    # of a box around K.
+    n = domain.dimension
+    rng = np.random.default_rng(47)
+    moves = []
+    for smp in geometry.sample_offset_boundary(domain, 0.05, 30, 3):
+        t = rng.standard_normal(n)
+        t -= np.dot(t, smp.normal) * smp.normal
+        moves.append(smp.point + rng.uniform(0.0, 0.2) * t)
+    box = domain.center + rng.uniform(-2.5, 2.5, size=(60, n))
+    X = np.vstack([moves, box[domain.level_fn(box) > 0.0]])
+    feet, dists = geometry.project_to_boundary_batch(domain, X)
+    for x, foot, dist in zip(X, feet, dists):
+        one_feet, one_dists = geometry.project_to_boundary_batch(domain, x[None, :])
+        assert one_feet[0].tobytes() == foot.tobytes()
+        assert one_dists[0].tobytes() == dist.tobytes()
+    subset = rng.permutation(X.shape[0])[: X.shape[0] // 3]
+    sub_feet, sub_dists = geometry.project_to_boundary_batch(domain, X[subset])
+    assert sub_feet.tobytes() == feet[subset].tobytes()
+    assert sub_dists.tobytes() == dists[subset].tobytes()
+
+
 def test_offset_membership_interior_point_of_implicit_domain():
     # Inside K the tag needs no projection; at this point near the medial
     # axis of the ellipse a projection from the radial point stalls.

@@ -252,3 +252,174 @@ def test_regularity_failure_blocks_prediction():
     assert report.cond2_verdict == VERDICT_HOLDS
     assert report.cond3_verdict == VERDICT_HOLDS
     assert report.invariance_predicted is False
+
+
+# Verbatim copies of the per-start ascent that the lockstep walks replaced
+# (REFINE_TOP, REFINE_STEPS and _tangent_basis are unchanged, so they are
+# taken from the module). The sups and the moves of the walks must match
+# them bit for bit.
+REFINE_TOP = theorem_checker.REFINE_TOP
+REFINE_STEPS = theorem_checker.REFINE_STEPS
+_tangent_basis = theorem_checker._tangent_basis
+child_seed = theorem_checker.child_seed
+
+
+def _reproject(domain, eps, x):
+    foot, _ = geometry.project_to_boundary(domain, x)
+    nu = geometry.outward_normal(domain, foot)
+    return BoundarySample(point=foot + eps * nu, normal=nu, offset=eps)
+
+
+def _refine_sup(domain, eps, samples, objective, values):
+    best = float(np.max(values))
+    order = np.argsort(values)[::-1][:REFINE_TOP]
+    scale = max(eps, 0.05 * geometry.bounding_radius(domain))
+    for start in order:
+        sample = samples[start]
+        current = float(values[start])
+        step = 0.5 * scale
+        for _ in range(REFINE_STEPS):
+            improved = False
+            for t in _tangent_basis(sample.normal):
+                for sgn in (1.0, -1.0):
+                    cand = _reproject(domain, eps, sample.point + sgn * step * t)
+                    val = objective(cand)
+                    if val > current:
+                        sample, current, improved = cand, val, True
+            if not improved:
+                step *= 0.5
+                if step < 1e-6 * scale:
+                    break
+        best = max(best, current)
+    return best
+
+
+def _profile(model, domain, eps_grid, time_grid, samples_per_eps, seed, pointwise):
+    theorem_checker._validate_grid(eps_grid)
+    sups = []
+    for e_idx, eps in enumerate(eps_grid):
+        samples = geometry.sample_offset_boundary(
+            domain, eps, samples_per_eps, child_seed(seed, e_idx)
+        )
+        objective = lambda smp: max(pointwise(s, smp) for s in time_grid)
+        values = np.array([objective(smp) for smp in samples])
+        sups.append(_refine_sup(domain, eps, samples, objective, values))
+    return sups
+
+
+LINEAR_2D = dict(
+    A=[[-1.0, 0.3], [-0.2, -0.8]],
+    c=[0.1, 0.0],
+    B=[[[0.2, 0.0], [0.1, 0.3]], [[0.0, -0.1], [0.2, 0.0]]],
+    d=[[0.1, 0.2], [0.0, 0.1]],
+)
+ASCENT_CASES = {
+    "ball2d_rotational": (lambda: geometry.ball([0.0, 0.0], 1.0),
+                          lambda: sde_model.rotational(0.7, 0.5), (0.0,)),
+    "ball3d_brownian": (lambda: geometry.ball([0.0, 0.0, 0.0], 1.0),
+                        lambda: sde_model.brownian(3), (0.0,)),
+    "ellipse2d_brownian": (lambda: geometry.ellipsoid([0.0, 0.0], [1.5, 1.0]),
+                           lambda: sde_model.brownian(2, 0.5), (0.0,)),
+    "ellipsoid3d_ou": (lambda: geometry.ellipsoid([0.1, 0.0, -0.1], [1.2, 1.0, 0.8]),
+                       lambda: sde_model.ou_inward(3), (0.0,)),
+    "p4_ball2d_rotational": (lambda: geometry.even_p_norm_ball([0.0, 0.0], 1.0, 4),
+                             lambda: sde_model.rotational(0.7, 0.5), (0.0,)),
+    "p4_ball3d_brownian": (lambda: geometry.even_p_norm_ball([0.0, 0.0, 0.0], 1.0, 4),
+                           lambda: sde_model.brownian(3), (0.0,)),
+    "ball1d_brownian": (lambda: geometry.ball([0.0], 1.0),
+                        lambda: sde_model.brownian(1), (0.0,)),
+    "ellipse2d_linear_two_times": (lambda: geometry.ellipsoid([0.0, 0.0], [1.5, 1.0]),
+                                   lambda: sde_model.linear(**LINEAR_2D), (0.0, 0.5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ASCENT_CASES))
+def test_lockstep_sups_match_per_start_ascent_bit_for_bit(case):
+    make_domain, make_model, times = ASCENT_CASES[case]
+    domain, model = make_domain(), make_model()
+    count, seed = 24, 7
+    per_start = [
+        _profile(model, domain, EPS_GRID, times, count, seed, theorem_checker._tangency(model)),
+        _profile(model, domain, EPS_GRID, times, count, seed,
+                 theorem_checker._pressure(model, domain)),
+    ]
+    lockstep = [
+        theorem_checker.condition2_profile(model, domain, EPS_GRID, times, count, seed),
+        theorem_checker.condition3_profile(model, domain, EPS_GRID, times, count, seed),
+    ]
+    report = theorem_checker.theorem1_report(
+        model, domain, CheckerConfig(eps_grid=EPS_GRID, samples_per_eps=count,
+                                     time_grid=times, seed=seed)
+    )
+    assert report.errors == []
+    for old, new in zip(per_start, lockstep):
+        assert np.array(new).tobytes() == np.array(old).tobytes()
+    assert np.array(report.cond2_sup).tobytes() == np.array(per_start[0]).tobytes()
+    assert np.array(report.cond3_sup).tobytes() == np.array(per_start[1]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "case", ["ball2d_rotational", "ellipse2d_brownian", "p4_ball3d_brownian", "ball1d_brownian"]
+)
+def test_each_walk_evaluates_the_per_start_candidates(case):
+    # The lockstep rounds take one move of every live walk, in walk order
+    # (eps by eps, best start first). So the points the objective sees are
+    # the samples, then the per-start sequences interleaved round by round.
+    make_domain, make_model, _ = ASCENT_CASES[case]
+    domain, model = make_domain(), make_model()
+    tangency = theorem_checker._tangency(model)
+    stages = theorem_checker._offset_samples(domain, EPS_GRID, 16, 3)
+
+    def recorder(seen):
+        def pointwise(s, smp):
+            seen.append(smp.point.tobytes())
+            return tangency(s, smp)
+
+        return pointwise
+
+    walks = []
+    for eps, samples in zip(EPS_GRID, stages):
+        values = np.array([tangency(0.0, smp) for smp in samples])
+        for start in np.argsort(values)[::-1][:REFINE_TOP]:
+            seen = []
+            record = recorder(seen)
+            _refine_sup(domain, eps, [samples[start]], lambda smp: record(0.0, smp),
+                        values[[start]])
+            walks.append(seen)
+    expected = [smp.point.tobytes() for samples in stages for smp in samples]
+    for r in range(max(map(len, walks))):
+        expected += [seen[r] for seen in walks if r < len(seen)]
+
+    seen = []
+    theorem_checker._profile(domain, EPS_GRID, stages, (0.0,), recorder(seen))
+    assert seen == expected
+    if domain.dimension == 1:
+        assert len(seen) == sum(map(len, stages))
+    else:
+        assert len(seen) > sum(map(len, stages))
+
+
+def test_theorem1_report_draws_the_offset_samples_once(monkeypatch):
+    calls = []
+    draw = geometry.sample_offset_boundary
+
+    def counted(domain, eps, count, seed):
+        calls.append((eps, seed))
+        return draw(domain, eps, count, seed)
+
+    monkeypatch.setattr(geometry, "sample_offset_boundary", counted)
+    report = theorem_checker.theorem1_report(
+        sde_model.rotational(), unit_ball(), CheckerConfig(samples_per_eps=20)
+    )
+    assert report.errors == []
+    assert [eps for eps, _ in calls] == list(EPS_GRID)
+    assert len({seed for _, seed in calls}) == len(EPS_GRID)
+
+
+def test_theorem1_report_records_a_failed_draw_for_both_conditions():
+    report = theorem_checker.theorem1_report(
+        sde_model.rotational(), unit_ball(), CheckerConfig(samples_per_eps=0)
+    )
+    assert report.errors == ["condition2: count must be >= 1", "condition3: count must be >= 1"]
+    assert report.cond2_sup == [] and report.cond3_sup == []
+    assert report.invariance_predicted is False
