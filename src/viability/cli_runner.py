@@ -98,19 +98,13 @@ def _is_reals(value) -> bool:
     return _is_number(value)
 
 
-def _check_declaration(section: str, decl, tag: str, known: dict):
-    """Keys and types of a model or domain declaration. The tag key names the
-    family or kind, and known maps each family or kind to the keys it takes;
-    an unknown tag is left to the builder, which rejects it. A null is left to
-    the builder too, which treats it as absent or rejects it."""
+def _check_declaration(section: str, decl, tag: str):
+    """Value types of a model or domain declaration; the tag key names the
+    family or kind. The keys are left to the builder: an unknown family or
+    kind, or a key its builder does not take, fails in the builder call. A
+    null is left to the builder too, which treats it as absent or rejects it."""
     if not isinstance(decl, dict):
         raise ConfigError(f"section {section!r} must be a mapping")
-    if decl.get(tag) in known:
-        unknown = set(decl) - {tag, *known[decl[tag]]}
-        if unknown:
-            raise ConfigError(
-                f"unknown keys in section {section!r} for {tag} {decl[tag]!r}: {sorted(unknown)}"
-            )
     for key, value in decl.items():
         if key == tag or value is None:
             continue
@@ -175,8 +169,8 @@ def resolve_config(raw: dict) -> dict:
             isinstance(value, list) and value and all(map(_is_number, value))
         ):
             raise ConfigError(f"{section}.{key} must be a nonempty list of numbers, got {value!r}")
-    _check_declaration("model", cfg["model"], "family", sde_model.FAMILY_KEYS)
-    _check_declaration("domain", cfg["domain"], "kind", geometry.KIND_KEYS)
+    _check_declaration("model", cfg["model"], "family")
+    _check_declaration("domain", cfg["domain"], "kind")
 
     try:
         model = sde_model.from_config(cfg["model"])
@@ -226,13 +220,6 @@ def _package_version() -> str:
         return "unknown"
 
 
-def _conditions_dict(report) -> dict:
-    out = asdict(report)
-    if report.regularity is not None:
-        out["regularity"] = asdict(report.regularity)
-    return out
-
-
 def _probe_dict(result) -> dict:
     return {
         "eps": result.eps,
@@ -246,10 +233,6 @@ def _probe_dict(result) -> dict:
         "passed": result.passed,
         "seed": result.seed,
     }
-
-
-def _exit_dict(est) -> dict:
-    return asdict(est)
 
 
 def _run_check(model, domain, cfg):
@@ -390,15 +373,15 @@ def run(
 
     if subcommand in ("check", "full"):
         conditions = _run_check(model, domain, cfg)
-        report["conditions"] = _conditions_dict(conditions)
+        report["conditions"] = asdict(conditions)
     if subcommand in ("probe", "full"):
         probe_result = _run_probe(model, domain, cfg)
         report["shell_probe"] = _probe_dict(probe_result)
     if subcommand in ("simulate", "full"):
         estimates = _run_simulate(model, domain, cfg)
-        report["exit"] = _exit_dict(estimates[-1])
+        report["exit"] = asdict(estimates[-1])
         if len(estimates) > 1:
-            report["exit_estimates"] = [_exit_dict(e) for e in estimates]
+            report["exit_estimates"] = [asdict(e) for e in estimates]
 
     p_max = float(cfg["sim"]["p_max"])
     if subcommand == "full":

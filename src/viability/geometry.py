@@ -154,24 +154,22 @@ def even_p_norm_ball(center, radius: float, p: int) -> ImplicitDomain:
     )
 
 
-# The keys a domain declaration of each kind may hold, besides "kind".
-KIND_KEYS = {
-    "ball": ("center", "radius"),
-    "ellipsoid": ("center", "semiaxes"),
-    "even_p_norm_ball": ("center", "radius", "p"),
+# Each kind's builder; its arguments are a declaration's keys and defaults.
+KINDS = {
+    "ball": ball,
+    "ellipsoid": ellipsoid,
+    "even_p_norm_ball": even_p_norm_ball,
 }
 
 
 def from_config(cfg: dict) -> ImplicitDomain:
-    """Build a domain from a configuration mapping (see cli_runner)."""
-    kind = cfg.get("kind")
-    if kind == "ball":
-        return ball(cfg["center"], cfg["radius"])
-    if kind == "ellipsoid":
-        return ellipsoid(cfg["center"], cfg["semiaxes"])
-    if kind == "even_p_norm_ball":
-        return even_p_norm_ball(cfg["center"], cfg["radius"], int(cfg["p"]))
-    raise ValueError(f"unknown domain kind: {kind!r}")
+    """KINDS[kind](**other keys); a key the builder does not take, or a
+    missing one, is the builder call's TypeError."""
+    args = dict(cfg)
+    kind = args.pop("kind", None)
+    if kind not in KINDS:
+        raise ValueError(f"unknown domain kind: {kind!r}")
+    return KINDS[kind](**args)
 
 
 def bounding_radius(domain: ImplicitDomain) -> float:
@@ -215,24 +213,22 @@ def outward_normal(domain: ImplicitDomain, z) -> np.ndarray:
 def project_to_boundary(domain: ImplicitDomain, x) -> tuple[np.ndarray, float]:
     """Closest boundary point and its Euclidean distance.
 
-    Balls are projected radially in closed form; the center, where every
-    boundary point is closest, takes the point along the first axis. Other
-    kinds are project_to_boundary_batch applied to a batch of one.
+    project_to_boundary_batch applied to a batch of one, for every kind; a
+    ball's batched closed form gives each row the bits of that point alone.
     """
     x = np.asarray(x, dtype=float)
-    if domain.kind == "ball":
-        c, r = domain.center, domain.params["radius"]
-        u = x - c
-        nu = np.linalg.norm(u)
-        if nu < 1e-13:
-            uhat = np.zeros(domain.dimension)
-            uhat[0] = 1.0
-        else:
-            uhat = u / nu
-        foot = c + r * uhat
-        return foot, abs(nu - r)
     feet, dists = project_to_boundary_batch(domain, x[None, :])
     return feet[0], float(dists[0])
+
+
+def _unit_rows(U: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The rows of U divided by their lengths. A row shorter than 1e-13 is
+    at the center and takes the first axis, an arbitrary but deterministic
+    tie-break."""
+    at_center = length < 1e-13
+    uhat = U / np.where(at_center, 1.0, length)[:, None]
+    uhat[at_center] = np.eye(U.shape[1])[0]
+    return uhat
 
 
 def _ray_crossing(domain: ImplicitDomain, X: np.ndarray):
@@ -242,15 +238,10 @@ def _ray_crossing(domain: ImplicitDomain, X: np.ndarray):
     Both non-ball levels are homogeneous about the center, so the crossing
     has a closed form: s = 1 / sqrt(sum(u_i^2 / a_i^2)) for an ellipsoid and
     s = r / |u|_p for a p-ball, for a unit direction u. A row at the center
-    takes the first axis as its direction, an arbitrary but deterministic
-    tie-break.
+    takes the first axis as its direction (see _unit_rows).
     """
     U = X - domain.center
-    length = np.linalg.norm(U, axis=1)
-    at_center = length < 1e-13
-    U[at_center] = np.eye(domain.dimension)[0]
-    length[at_center] = 1.0
-    uhat = U / length[:, None]
+    uhat = _unit_rows(U, np.linalg.norm(U, axis=1))
     if domain.kind == "ellipsoid":
         s = 1.0 / np.sqrt(np.sum(uhat * uhat / domain.params["semiaxes"] ** 2, axis=1))
     elif domain.kind == "even_p_norm_ball":
@@ -288,8 +279,15 @@ def project_to_boundary_batch(domain: ImplicitDomain, X) -> tuple[np.ndarray, np
     Jacobians and a backtracking line search per row. A row leaves the
     iteration once its residual is below tolerance, so each row's result
     depends on that row alone. A row at the center starts from the crossing
-    along the first axis (see _ray_crossing). Balls project each row with the
-    closed form of project_to_boundary.
+    along the first axis (see _ray_crossing).
+
+    Balls are projected radially in closed form, all rows at once: the foot
+    is c + r u / |u| for u = x - c, at distance ||u| - r|, and a row at the
+    center takes the first axis (see _unit_rows). Each row length is the
+    square root of a stacked matmul of the row with itself, which takes the
+    row's dot product alone, as np.linalg.norm does for one point, so a row
+    gets the bits of that point projected alone. np.linalg.norm(U, axis=1)
+    reduces the squares without that dot and can differ in the last bit.
 
     From outside the convex built-in kinds the iteration reaches the closest
     point. Inside, it may stop at a stationary point that is not the closest
@@ -298,10 +296,10 @@ def project_to_boundary_batch(domain: ImplicitDomain, X) -> tuple[np.ndarray, np
     """
     X = np.asarray(X, dtype=float)
     if domain.kind == "ball":
-        feet, dists = np.empty_like(X), np.empty(X.shape[0])
-        for i, x in enumerate(X):
-            feet[i], dists[i] = project_to_boundary(domain, x)
-        return feet, dists
+        c, r = domain.center, domain.params["radius"]
+        U = X - c
+        length = np.sqrt((U[:, None, :] @ U[:, :, None])[:, 0, 0])
+        return c + r * _unit_rows(U, length), np.abs(length - r)
     m, n = X.shape
     uhat, s = _ray_crossing(domain, X)
     z = domain.center + s[:, None] * uhat

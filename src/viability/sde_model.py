@@ -10,6 +10,7 @@ interface. Coefficient callables broadcast over a leading batch axis.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -55,9 +56,20 @@ class RegularityReport:
     passed: bool
 
 
+def _dimension(dimension) -> int:
+    """dimension as an int; a ValueError unless it is an integer >= 1."""
+    try:
+        n = operator.index(dimension)
+    except TypeError:
+        raise ValueError(f"dimension must be an integer, got {dimension!r}") from None
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    return n
+
+
 def brownian(dimension: int, scale: float = 1.0) -> SdeModel:
     """Pure diffusion: a = 0, b = scale * I (n channels)."""
-    n = dimension
+    n = _dimension(dimension)
     s = float(scale)
     b = s * np.eye(n)
 
@@ -76,7 +88,7 @@ def brownian(dimension: int, scale: float = 1.0) -> SdeModel:
 
 def ou_inward(dimension: int, rate: float = 1.0) -> SdeModel:
     """Deterministic contraction toward the origin: a = -rate * x, no noise."""
-    n = dimension
+    n = _dimension(dimension)
     r = float(rate)
 
     def drift(t, x):
@@ -176,28 +188,23 @@ def outward(dimension: int, rate: float = 1.0) -> SdeModel:
     return linear(rate * np.eye(dimension))
 
 
-# The keys a model declaration of each family may hold, besides "family".
-FAMILY_KEYS = {
-    "brownian": ("dimension", "scale"),
-    "ou_inward": ("dimension", "rate"),
-    "rotational": ("spin", "inward_rate"),
-    "linear": ("A", "c", "B", "d"),
+# Each family's builder; its arguments are a declaration's keys and defaults.
+FAMILIES = {
+    "brownian": brownian,
+    "ou_inward": ou_inward,
+    "rotational": rotational,
+    "linear": linear,
 }
 
 
 def from_config(cfg: dict) -> SdeModel:
-    family = cfg.get("family")
-    if family == "brownian":
-        return brownian(int(cfg["dimension"]), float(cfg.get("scale", 1.0)))
-    if family == "ou_inward":
-        return ou_inward(int(cfg["dimension"]), float(cfg.get("rate", 1.0)))
-    if family == "rotational":
-        return rotational(
-            float(cfg.get("spin", 1.0)), float(cfg.get("inward_rate", 1.0))
-        )
-    if family == "linear":
-        return linear(cfg["A"], cfg.get("c"), cfg.get("B"), cfg.get("d"))
-    raise ValueError(f"unknown model family: {family!r}")
+    """FAMILIES[family](**other keys); a key the builder does not take, or
+    a missing one, is the builder call's TypeError."""
+    args = dict(cfg)
+    family = args.pop("family", None)
+    if family not in FAMILIES:
+        raise ValueError(f"unknown model family: {family!r}")
+    return FAMILIES[family](**args)
 
 
 def _self_test_jacobian(model: SdeModel, points: int = 3, seed: int = 424242):

@@ -24,6 +24,7 @@ bits as ascents run one start at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Generator, Sequence
 
 import numpy as np
@@ -289,16 +290,8 @@ def condition3_profile(
     """Per-eps sup over samples and times of the condition-3 functional."""
     _validate_grid(eps_grid)
     stages = _offset_samples(domain, eps_grid, samples_per_eps, seed)
-    return _profile(domain, eps_grid, stages, time_grid, _pressure(model, domain))
-
-
-def _pressure(model: SdeModel, domain: ImplicitDomain) -> Callable[[float, BoundarySample], float]:
-    """The condition-3 functional, condition3_value."""
-
-    def pointwise(s, smp):
-        return condition3_value(model, domain, s, smp)
-
-    return pointwise
+    pressure = partial(condition3_value, model, domain)
+    return _profile(domain, eps_grid, stages, time_grid, pressure)
 
 
 def condition3_verdict(profile: Sequence[float], delta_margin: float = 1e-3) -> str:
@@ -383,9 +376,8 @@ def theorem1_report(
             report.errors.append(f"condition2: {exc}")
 
         try:
-            prof3 = _profile(
-                domain, cfg.eps_grid, stages, cfg.time_grid, _pressure(model, domain)
-            )
+            pressure = partial(condition3_value, model, domain)
+            prof3 = _profile(domain, cfg.eps_grid, stages, cfg.time_grid, pressure)
             report.cond3_sup = [float(v) for v in prof3]
             report.cond3_verdict = condition3_verdict(prof3, cfg.delta_margin)
         except (ViabilityError, ValueError) as exc:

@@ -324,6 +324,14 @@ def test_invalid_configs_raise_config_error(tmp_path):
         # a key the family or kind does not take, such as a typo
         ("model", {"family": "brownian", "dimension": 2, "scael": 2.0}),
         ("domain", {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0, "radus": 3}),
+        # the keys are the builder's arguments: a missing one, or one it does
+        # not take, fails in the builder call, and a null dimension fails there
+        ("model", {"family": "brownian", "scale": 1.0}),
+        ("model", {"family": "ou_inward", "dimension": None}),
+        ("model", {"family": "rotational", "dimension": 2}),
+        ("domain", {"kind": "ellipsoid", "center": [0.0, 0.0], "semiaxes": [1.0, 1.0],
+                    "radius": 1.0}),
+        ("domain", {"kind": "ball", "center": [0.0, 0.0]}),
     ],
 )
 def test_bad_section_values_are_config_errors(tmp_path, section, values):

@@ -90,6 +90,49 @@ def test_project_ball_radial_and_center_tie():
     np.testing.assert_array_equal(dists, [1.0, 1.0])
 
 
+def _parent_ball_projection(domain, x):
+    # The scalar closed form that projected one point onto a ball before
+    # balls were projected as a batch, kept verbatim as the reference.
+    x = np.asarray(x, dtype=float)
+    c, r = domain.center, domain.params["radius"]
+    u = x - c
+    nu = np.linalg.norm(u)
+    if nu < 1e-13:
+        uhat = np.zeros(domain.dimension)
+        uhat[0] = 1.0
+    else:
+        uhat = u / nu
+    foot = c + r * uhat
+    return foot, abs(nu - r)
+
+
+@pytest.mark.parametrize(
+    "center,radius", [([0.3], 0.8), ([0.3, -0.7], 1.3), ([0.1, -0.2, 0.45], 0.9)]
+)
+def test_ball_projection_matches_the_closed_form_bit_for_bit(center, radius):
+    domain = geometry.ball(center, radius)
+    n = domain.dimension
+    rng = np.random.default_rng(17)
+    X = np.vstack([
+        domain.center + rng.uniform(-3.0, 3.0, size=(2000, n)),  # outside and inside
+        domain.center + rng.normal(scale=1e-3, size=(200, n)),  # near the center
+        domain.center + rng.uniform(-1e-14, 1e-14, size=(50, n)),  # below the tie length
+        domain.center,
+    ])
+    assert np.any(domain.level_fn(X) > 0.0) and np.any(domain.level_fn(X) < 0.0)
+    expect = [_parent_ball_projection(domain, x) for x in X]
+    want_feet = np.array([foot for foot, _ in expect])
+    want_dists = np.array([dist for _, dist in expect])
+    for batch in (X, np.asfortranarray(X)):
+        feet, dists = geometry.project_to_boundary_batch(domain, batch)
+        np.testing.assert_array_equal(feet, want_feet)
+        np.testing.assert_array_equal(dists, want_dists)
+    for x, (want_foot, want_dist) in zip(X, expect):
+        foot, dist = geometry.project_to_boundary(domain, x)
+        np.testing.assert_array_equal(foot, want_foot)
+        np.testing.assert_array_equal(dist, want_dist)
+
+
 def test_project_ellipsoid_axis_point():
     d = geometry.ellipsoid([0.0, 0.0], [2.0, 1.0])
     foot, dist = geometry.project_to_boundary(d, [3.0, 0.0])

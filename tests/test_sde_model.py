@@ -225,3 +225,9 @@ def test_from_config_dispatches_families():
     assert m.family == "linear"
     with pytest.raises(ValueError):
         sde_model.from_config({"family": "pogo"})
+    # a declaration's keys reach the builder uncast, so the builder checks them
+    assert sde_model.ou_inward(np.int64(2)).dimension == 2
+    for build in (sde_model.brownian, sde_model.ou_inward):
+        for dimension in (None, 0, 2.0, "2"):
+            with pytest.raises(ValueError):
+                build(dimension)

@@ -1,5 +1,7 @@
 """Tests for the boundary condition profiles and their verdict rules."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -341,7 +343,7 @@ def test_lockstep_sups_match_per_start_ascent_bit_for_bit(case):
     per_start = [
         _profile(model, domain, EPS_GRID, times, count, seed, theorem_checker._tangency(model)),
         _profile(model, domain, EPS_GRID, times, count, seed,
-                 theorem_checker._pressure(model, domain)),
+                 partial(theorem_checker.condition3_value, model, domain)),
     ]
     lockstep = [
         theorem_checker.condition2_profile(model, domain, EPS_GRID, times, count, seed),
