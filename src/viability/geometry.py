@@ -67,9 +67,17 @@ class BoundarySample:
     offset: float
 
 
+def _vector(name: str, value, n: int | None = None) -> np.ndarray:
+    """value as a nonempty 1-D float array (of length n if given), else ValueError."""
+    v = np.asarray(value, dtype=float)
+    if v.ndim != 1 or v.size == 0 or (n is not None and v.size != n):
+        raise ValueError(f"{name} must be a list of {n or 'one or more'} numbers, got {value!r}")
+    return v
+
+
 def ball(center, radius: float) -> ImplicitDomain:
     """Ball of given radius; Q is the exact signed distance |x - c| - r."""
-    c = np.asarray(center, dtype=float)
+    c = _vector("center", center)
     n = c.shape[0]
     r = float(radius)
     if r <= 0.0:
@@ -100,8 +108,8 @@ def ball(center, radius: float) -> ImplicitDomain:
 
 def ellipsoid(center, semiaxes) -> ImplicitDomain:
     """Axis-aligned ellipsoid sum((x_i - c_i)^2 / a_i^2) <= 1."""
-    c = np.asarray(center, dtype=float)
-    a = np.asarray(semiaxes, dtype=float)
+    c = _vector("center", center)
+    a = _vector("semiaxes", semiaxes, c.size)
     if np.any(a <= 0.0):
         raise ValueError("semiaxes must be positive")
     n = c.shape[0]
@@ -130,7 +138,7 @@ def even_p_norm_ball(center, radius: float, p: int) -> ImplicitDomain:
     """
     if p < 2 or p % 2 != 0:
         raise ValueError("p must be an even integer >= 2")
-    c = np.asarray(center, dtype=float)
+    c = _vector("center", center)
     r = float(radius)
     if r <= 0.0:
         raise ValueError("radius must be positive")

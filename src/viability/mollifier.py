@@ -1,7 +1,9 @@
 """Bump function omega_eps, its derivatives, and the smoothed indicator eta_eps.
 
 omega_eps(x) = c_eps * exp(-eps^2 / (eps^2 - |x|^2)) inside the ball |x| < eps
-and 0 outside; c_eps normalizes the integral to one. The smoothed indicator is
+and 0 outside; c_eps normalizes the integral to one, by frozen values of
+adaptive radial quadrature up to 3 dimensions and a scrambled Sobol estimate
+above (the only use of scipy.stats, imported there). The smoothed indicator is
 the convolution of the indicator of the Euclidean offset K_2eps with omega_eps.
 It equals 1 on K_eps, vanishes outside K_3eps, and interpolates smoothly across
 the shell in between.
@@ -33,11 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gamma, pi
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate, stats
 
 from . import geometry
 from .errors import ToleranceNotMet
@@ -56,27 +56,17 @@ class MollifierSpec:
     c_eps: float
 
 
-@lru_cache(maxsize=None)
-def _unit_bump_integral(n: int) -> float:
-    """I_n = integral of exp(-1/(1-|u|^2)) over the unit ball, by the radial
-    reduction I_n = surf(S^{n-1}) * int_0^1 r^{n-1} exp(-1/(1-r^2)) dr."""
-    surf = 2.0 * pi ** (n / 2.0) / gamma(n / 2.0)
-    val, err = integrate.quad(
-        lambda r: r ** (n - 1) * np.exp(-1.0 / (1.0 - r * r)),
-        0.0,
-        1.0,
-        epsabs=1e-14,
-        epsrel=1e-13,
-    )
-    if err > 1e-10 * val:
-        raise ToleranceNotMet(f"radial quadrature error {err:.2e} for n={n}")
-    return surf * val
+# I_n = integral of exp(-1/(1-|u|^2)) over the unit ball for n <= 3: frozen values
+# of adaptive radial quadrature, surf(S^{n-1}) * int_0^1 r^{n-1} exp(-1/(1-r^2)) dr.
+UNIT_BUMP_INTEGRAL = {1: 0.4439938161680794, 2: 0.46651239317833, 3: 0.44108888727660434}
 
 
 def _unit_bump_integral_qmc(n: int, points: int, tol: float) -> float:
     """Quasi-random estimate of I_n over [-1,1]^n with ball masking."""
+    from scipy.stats import qmc
+
     m = max(8, int(np.ceil(np.log2(points))))
-    sob = stats.qmc.Sobol(d=n, scramble=True, seed=7)
+    sob = qmc.Sobol(d=n, scramble=True, seed=7)
     u = 2.0 * sob.random(2**m) - 1.0
     r2 = np.sum(u * u, axis=1)
     vals = np.zeros(u.shape[0])
@@ -97,19 +87,18 @@ def normalization_constant(
 ) -> float:
     """Constant c_eps with c_eps * eps^n * I_n = 1.
 
-    Dimensions up to 3 use adaptive radial quadrature; higher dimensions use a
-    quasi-random volume estimate and accept a wider tolerance. The scaling
-    c_eps = c_1 * eps^-n holds exactly by construction.
+    Dimensions up to 3 use frozen values of adaptive radial quadrature
+    (UNIT_BUMP_INTEGRAL); higher dimensions use a quasi-random volume estimate
+    and accept a wider tolerance. The scaling c_eps = c_1 * eps^-n holds
+    exactly by construction.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     if n <= 3:
-        i_n = _unit_bump_integral(n)
-    else:
-        i_n = _unit_bump_integral_qmc(n, qmc_points, max(tol, 1e-3))
-    return 1.0 / (i_n * eps**n)
+        return 1.0 / (UNIT_BUMP_INTEGRAL[n] * eps**n)
+    return 1.0 / (_unit_bump_integral_qmc(n, qmc_points, max(tol, 1e-3)) * eps**n)
 
 
 def make_spec(n: int, eps: float, tol: float = 1e-10) -> MollifierSpec:
@@ -327,7 +316,9 @@ def _membership_fractions(ind: SmoothedIndicator, Z: np.ndarray):
 def _unit_qmc_offsets(n: int, log2_points: int) -> np.ndarray:
     """Scrambled Sobol points (seed 11) mapped to [-1, 1]^n; read-only,
     because every call with the same arguments shares the array."""
-    sob = stats.qmc.Sobol(d=n, scramble=True, seed=11)
+    from scipy.stats import qmc
+
+    sob = qmc.Sobol(d=n, scramble=True, seed=11)
     u = 2.0 * sob.random(2**log2_points) - 1.0
     u.setflags(write=False)
     return u

@@ -332,6 +332,12 @@ def test_invalid_configs_raise_config_error(tmp_path):
         ("domain", {"kind": "ellipsoid", "center": [0.0, 0.0], "semiaxes": [1.0, 1.0],
                     "radius": 1.0}),
         ("domain", {"kind": "ball", "center": [0.0, 0.0]}),
+        # a vector parameter is a list: a scalar or a null one is rejected,
+        # and an ellipsoid has one semiaxis per center coordinate
+        ("domain", {"kind": "ball", "center": 1.0, "radius": 1.0}),
+        ("domain", {"kind": "ball", "center": None, "radius": 1.0}),
+        ("domain", {"kind": "ellipsoid", "center": [0.0, 0.0], "semiaxes": 1.5}),
+        ("domain", {"kind": "ellipsoid", "center": [0.0, 0.0], "semiaxes": [1.0, 1.0, 1.0]}),
     ],
 )
 def test_bad_section_values_are_config_errors(tmp_path, section, values):

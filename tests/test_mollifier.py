@@ -1,10 +1,16 @@
 """Tests for the bump function and the smoothed indicator."""
 
+import os
+import subprocess
+import sys
+from math import gamma, pi
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import integrate, stats
 
 from viability import generator_probe, geometry, mollifier, sde_model
 
@@ -13,14 +19,24 @@ from viability import generator_probe, geometry, mollifier, sde_model
 # (n = 4) while building this suite.
 I1 = 0.4439938161680794
 I2 = 0.46651239317833
-I3 = 0.4410888872766043
+I3 = 0.44108888727660434
 I4 = 0.3829755849984719
 
 
 def test_unit_bump_integral_pins():
-    assert abs(mollifier._unit_bump_integral(1) - I1) < 1e-12
-    assert abs(mollifier._unit_bump_integral(2) - I2) < 1e-12
-    assert abs(mollifier._unit_bump_integral(3) - I3) < 1e-12
+    """The frozen I_n are bit for bit the adaptive radial quadrature
+    I_n = surf(S^{n-1}) * int_0^1 r^{n-1} exp(-1/(1-r^2)) dr."""
+    for n, pin in ((1, I1), (2, I2), (3, I3)):
+        surf = 2.0 * pi ** (n / 2.0) / gamma(n / 2.0)
+        val, err = integrate.quad(
+            lambda r: r ** (n - 1) * np.exp(-1.0 / (1.0 - r * r)),
+            0.0,
+            1.0,
+            epsabs=1e-14,
+            epsrel=1e-13,
+        )
+        assert err <= 1e-10 * val
+        assert surf * val == mollifier.UNIT_BUMP_INTEGRAL[n] == pin
 
 
 def test_normalization_constant_one_dimensional_pin():
@@ -40,6 +56,33 @@ def test_normalization_constant_scaling_in_eps():
 def test_normalization_constant_qmc_dimension_four():
     c4 = mollifier.normalization_constant(4, 1.0)
     assert abs(c4 - 1.0 / I4) / (1.0 / I4) < 1e-2
+
+
+IMPORT_PATH_SCRIPT = """
+import sys
+import viability, viability.cli_runner
+from viability import mollifier
+assert "scipy.integrate" not in sys.modules
+assert "scipy.stats" not in sys.modules
+c4 = mollifier.normalization_constant(4, 0.5)
+assert "scipy.stats.qmc" in sys.modules
+print(repr(float(c4)))
+"""
+
+
+def test_import_loads_neither_scipy_integrate_nor_stats():
+    """Importing the package leaves scipy.integrate and scipy.stats unloaded;
+    the quasi-random path above 3 dimensions loads scipy.stats.qmc on demand
+    and gives the same constant as before."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PATH_SCRIPT],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    # 1 / (I_4 eps^4) with the Sobol estimate I_4 = 0.3829012943954625
+    assert float(done.stdout) == 41.78622593914534
 
 
 def test_normalization_constant_rejects_bad_input():
