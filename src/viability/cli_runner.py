@@ -3,9 +3,10 @@
 One JSON configuration file declares the model, the domain, and the parameter
 groups for the checker, the shell probe, and the simulator. The report echoes
 the fully resolved configuration, so a report alone suffices to reproduce the
-run. Every stage runs in the calling thread; `--threads` is still accepted
-and has no effect, so it is absent from the echo and reports do not depend
-on it (the timestamp field aside).
+run. The check and the probe run in the calling thread, the simulator on
+every CPU of the process's affinity mask with the same outputs for any count;
+`--threads` is still accepted and has no effect, so it is absent from the
+echo and reports do not depend on it (the timestamp field aside).
 
 Exit codes: 0 when the requested checks pass (for `full`, invariance is both
 predicted and observed), 1 on a definite failure, 2 when inconclusive, 3 on a
@@ -459,7 +460,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory (default from config)")
     parser.add_argument("--seed", type=int, default=None, help="override every configured seed")
-    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored; every stage runs in one thread")
+    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     args = parser.parse_args(argv)
 
     try:

@@ -6,9 +6,11 @@ horizon: a shorter last window draws the leading rows of the full window, so
 every increment equals the one a full-window draw gives. Every time step runs in
 one block loop, _simulate_block, and a path simulated alone is a block of one,
 so it matches the same path inside any batch bit for bit by construction.
-Blocks run one after another in the calling thread. Estimates are
-bit-identical for any block size, and any single path can be replayed in
-isolation.
+exit_probability and final_states cut their paths into spans and run them on
+every CPU in the process's affinity mask: the caller simulates the first
+share of spans and forked children the rest (_simulate_spans). Estimates are
+bit-identical for any block size and any CPU count, and any single path can
+be replayed in isolation.
 """
 
 from __future__ import annotations
@@ -105,18 +107,23 @@ def _simulate_block(model, domain, starts, T, dt, seed, first_index):
     """The Euler-Maruyama time loop for a block of paths.
 
     Row i is path first_index + i and draws its increments from the stream
-    keyed by (seed, first_index + i). Each window draws one (width, n) array
-    per live path, width = min(WINDOW, steps left to the horizon); these are
-    the leading rows of the full (WINDOW, n) window, so the stream layout does
-    not depend on the horizon. A path stops after the first step that
-    overflows or leaves the domain (never when domain is None). Returns
-    per-path arrays (states, steps, exited, nonfinite): the state and step
-    count at the stop or the horizon, and which of the two stops ended the
-    path.
+    keyed by (seed, first_index + i). The block holds one Philox generator and
+    re-keys it for each path: the path's key (what Philox(SeedSequence(seed,
+    (index,))) derives) with counter 0 on its first window, the state it left
+    off at on a later one. Each window draws a (width, n) array per live path,
+    width = min(WINDOW, steps left to the horizon), into one (live, width, n)
+    array; these are the leading rows of the full (WINDOW, n) window, so the
+    stream layout does not depend on the horizon. A path stops after the first
+    step that overflows or leaves the domain (never when domain is None).
+    Returns per-path arrays (states, steps, exited, nonfinite): the state and
+    step count at the stop or the horizon, and which of the two stops ended
+    the path.
     """
     n_steps = _n_steps(T, dt)
     B, n = starts.shape
-    gens = [path_generator(seed, first_index + i) for i in range(B)]
+    gen = path_generator(seed, first_index)
+    fresh = gen.bit_generator.state  # counter 0; its key is swapped per path
+    resume = {}  # path -> its Philox state at the start of the next window
     x = np.array(starts, dtype=float)  # states of the live paths
     states = x.copy()
     steps = np.full(B, n_steps)
@@ -137,7 +144,17 @@ def _simulate_block(model, domain, starts, T, dt, seed, first_index):
         if not live.size:
             break
         width = min(WINDOW, n_steps - start)
-        dW = np.stack([gens[i].standard_normal((width, n)) for i in live])
+        dW = np.empty((live.size, width, n))
+        for r, i in enumerate(live.tolist()):
+            if start:
+                gen.bit_generator.state = resume.pop(i)
+            else:
+                key = np.random.SeedSequence(seed, spawn_key=(first_index + i,))
+                fresh["state"]["key"] = key.generate_state(2, np.uint64)
+                gen.bit_generator.state = fresh
+            gen.standard_normal(out=dW[r])
+            if start + width < n_steps:
+                resume[i] = gen.bit_generator.state
         dW *= np.sqrt(dt)
         rows = None  # row of dW for each row of x, once a path has stopped
         for j in range(width):
@@ -154,6 +171,92 @@ def _simulate_block(model, domain, starts, T, dt, seed, first_index):
                 break
     states[live] = x
     return states, steps, exited, nonfinite
+
+
+def _simulate_spans(model, domain, starts, T, dt, seed, block):
+    """_simulate_block over every row of starts, on every CPU the process may use.
+
+    With w = len(os.sched_getaffinity(0)), the rows are cut into spans of
+    min(block, ceil(m / w)) paths and the spans into at most w contiguous
+    shares. The caller simulates the first share itself and forks one child
+    per later share, which pickles its per-path arrays back through a pipe.
+    Row i keeps path index i wherever it runs, so the result is bit-identical
+    for any w. Every child is reaped before this returns or raises, and an
+    exception raised in a child is raised again here. Children are forked
+    only where os.fork and os.sched_getaffinity exist (Linux); elsewhere, or
+    with one span, everything runs in the caller. The children are forked,
+    not spawned, because a model's coefficients are closures that pickle
+    cannot send to a fresh interpreter. Python 3.12 and later warn
+    (DeprecationWarning) when fork() is called in a process that runs other
+    threads.
+    """
+    import os
+    import pickle
+    import signal
+
+    m = starts.shape[0]
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    cpus = len(os.sched_getaffinity(0)) if can_fork else 1
+    span = min(block, -(-m // cpus))
+    spans = [(a, min(a + span, m)) for a in range(0, m, span)]
+    k = min(cpus, len(spans))
+    shares = [spans[j * len(spans) // k : (j + 1) * len(spans) // k] for j in range(k)]
+
+    def run(share):
+        parts = [
+            _simulate_block(model, domain, starts[a:b], T, dt, seed, a)
+            for a, b in share
+        ]
+        return [np.concatenate(arrays) for arrays in zip(*parts)]
+
+    # The caller simulates the first share itself instead of leaving every
+    # span to children. Freeing its 12 MB windows raises glibc's dynamic mmap
+    # threshold (and the trim threshold with it), so the 100-400 KB
+    # temporaries of later stages come from the heap instead of fresh,
+    # page-faulted mappings: 100 probe points on the 3-D unit ball took
+    # 0.29-0.50 s (37,700 page faults) in a fresh process and 0.22-0.32 s
+    # (680 faults) after one 12 MB array was allocated and freed.
+    children = []  # (pid, read end of its pipe)
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:  # the child never returns from this branch
+                try:
+                    os.close(r)
+                    try:
+                        message = pickle.dumps((True, run(share)))
+                    except BaseException as exc:  # sent to the caller to raise
+                        try:
+                            message = pickle.dumps((False, exc))
+                        except Exception:  # an exception pickle cannot carry
+                            message = pickle.dumps((False, RuntimeError(repr(exc))))
+                    with os.fdopen(w, "wb") as fh:
+                        fh.write(message)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        results = [run(shares[0])]
+        for pid, fh in children:
+            try:
+                ok, value = pickle.load(fh)
+            except EOFError:
+                raise RuntimeError(f"simulation child {pid} sent no result") from None
+            if not ok:
+                raise value
+            results.append(value)
+    finally:
+        for pid, fh in children:
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [np.concatenate(arrays) for arrays in zip(*results)]
 
 
 def simulate_path(
@@ -199,27 +302,19 @@ def exit_probability(
     """Fraction of paths that leave the domain by the horizon, with a Wilson CI.
 
     Per-path streams are keyed by (seed, path index), so the estimate is
-    bit-identical for any block size. Paths that overflow are counted in
-    n_nonfinite and excluded from the exit count. threads is accepted for
-    existing callers and has no effect.
+    bit-identical for any block size and any CPU count (see _simulate_spans).
+    Paths that overflow are counted in n_nonfinite and excluded from the exit
+    count. threads is accepted for existing callers and has no effect.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     x0 = np.asarray(x0, dtype=float)
     if signed_level(domain, x0) > 0.0:
         raise ImmediateExit(f"start point {x0!r} lies outside the domain")
-
-    # Keep every block's outputs until the sums: dropping each block's states
-    # before the next block starts raises peak RSS by about 11 MB on a 3-D
-    # dt study of 8192 paths, through the heap layout of the windows.
-    results = [
-        _simulate_block(
-            model, domain, np.tile(x0, (min(block, n_paths - b0), 1)), T, dt, seed, b0
-        )
-        for b0 in range(0, n_paths, block)
-    ]
-    exits = sum(int(exited.sum()) for _, _, exited, _ in results)
-    nonfinite = sum(int(bad.sum()) for _, _, _, bad in results)
+    _, _, exited, nonfinite = _simulate_spans(
+        model, domain, np.tile(x0, (n_paths, 1)), T, dt, seed, block
+    )
+    exits = int(exited.sum())
     lo, hi = wilson_interval(exits, n_paths)
     return ExitEstimate(
         n_paths=n_paths,
@@ -230,7 +325,7 @@ def exit_probability(
         dt=float(dt),
         T=float(T),
         seed=int(seed),
-        n_nonfinite=nonfinite,
+        n_nonfinite=int(nonfinite.sum()),
     )
 
 
@@ -244,18 +339,13 @@ def final_states(
 ) -> np.ndarray:
     """States at the horizon for a batch of start points, without exit stops.
 
-    Row i uses the stream keyed by (seed, i).
+    Row i uses the stream keyed by (seed, i), on any CPU (see _simulate_spans).
     """
     starts = np.asarray(starts, dtype=float)
-    out = np.empty_like(starts)
-    for b0 in range(0, starts.shape[0], block):
-        finals, _, _, nonfinite = _simulate_block(
-            model, None, starts[b0 : b0 + block], T, dt, seed, b0
-        )
-        if nonfinite.any():
-            raise NonFinite("a path overflowed before the horizon")
-        out[b0 : b0 + block] = finals
-    return out
+    finals, _, _, nonfinite = _simulate_spans(model, None, starts, T, dt, seed, block)
+    if nonfinite.any():
+        raise NonFinite("a path overflowed before the horizon")
+    return finals
 
 
 def dt_convergence_study(

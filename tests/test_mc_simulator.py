@@ -1,5 +1,8 @@
 """Tests for Euler-Maruyama simulation and exit-probability estimation."""
 
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,6 +184,137 @@ def test_isolated_exiting_paths_match_kernel_rows():
         model, domain, [0.5, 0.0], T, dt, n_paths, seed, block=7, threads=2
     )
     assert est.n_exits == exited.sum()
+
+
+def test_span_generator_draws_what_path_generator_draws(monkeypatch):
+    """The one re-keyed generator of a block hands each path, row for row
+    over two windows, the increments its own path_generator stream gives."""
+    W, extra, first_index, seed = mc_simulator.WINDOW, 37, 3, 19
+    recorded = []
+
+    def recording_update(model, t, x, dt, dW):
+        recorded.append(np.array(dW))
+        return x
+
+    monkeypatch.setattr(mc_simulator, "_em_update", recording_update)
+    starts = np.zeros((4, 2))
+    mc_simulator._simulate_block(
+        sde_model.zero(2), None, starts, float(W + extra), 1.0, seed, first_index
+    )
+    drawn = np.stack(recorded, axis=1)  # (path, step, channel); sqrt(dt) = 1
+    assert drawn.shape == (4, W + extra, 2)
+    for i in range(4):
+        gen = seeds.path_generator(seed, first_index + i)
+        ref = np.concatenate([gen.standard_normal((W, 2)), gen.standard_normal((extra, 2))])
+        assert drawn[i].tobytes() == ref.tobytes()
+
+
+forking = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+    reason="paths are sharded only where os.fork and os.sched_getaffinity exist",
+)
+
+
+def _on_cpus(monkeypatch, w):
+    """Report w CPUs to the simulator; return the list of forked child pids."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(w)))
+    forks, real_fork = [], os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def _leaky_model():
+    """Brownian motion whose drift sends a coordinate below -0.9 to infinity,
+    so some paths exit the unit disk, some overflow and the rest survive."""
+    return dataclasses.replace(
+        sde_model.brownian(2), drift=lambda t, x: np.where(x < -0.9, np.inf, 0.0)
+    )
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@forking
+@pytest.mark.parametrize("block", [mc_simulator.DEFAULT_BLOCK, 7])
+def test_sharded_paths_are_bit_identical_for_any_cpu_count(monkeypatch, block):
+    """1, 2 or 3 CPUs give the same per-path outcomes and estimates: a horizon
+    over WINDOW steps (states saved across windows), exits on both sides of a
+    window boundary, overflowing paths, and a path count that is not a
+    multiple of the span."""
+    model, domain = _leaky_model(), geometry.ball([0.0, 0.0], 1.0)
+    n_paths, T, dt, seed = 31, 0.4, 2.5e-4, 31
+    starts = np.tile([0.5, 0.0], (n_paths, 1))
+    outcomes, estimates = [], []
+    for w in (1, 2, 3):
+        forks = _on_cpus(monkeypatch, w)
+        with np.errstate(invalid="ignore"):
+            outcomes.append(
+                mc_simulator._simulate_spans(model, domain, starts, T, dt, seed, block)
+            )
+            estimates.append(
+                mc_simulator.exit_probability(
+                    model, domain, [0.5, 0.0], T, dt, n_paths, seed, block
+                )
+            )
+        assert len(forks) == 2 * (w - 1)
+        _assert_no_child_left()
+    states, steps, exited, nonfinite = outcomes[0]
+    assert exited.any() and nonfinite.any() and not (exited | nonfinite).all()
+    assert steps[exited].min() < mc_simulator.WINDOW < steps[exited].max()
+    assert estimates[0].n_nonfinite == nonfinite.sum() > 0
+    for other in outcomes[1:]:
+        assert [a.tobytes() for a in other] == [a.tobytes() for a in outcomes[0]]
+    assert estimates[0] == estimates[1] == estimates[2]
+
+
+@forking
+def test_sharded_final_states_are_bit_identical_for_any_cpu_count(monkeypatch):
+    model = _affine_model()
+    starts = np.random.default_rng(7).uniform(-1.0, 1.0, size=(23, 2))
+    dt = 2.0**-10
+    T = (mc_simulator.WINDOW + 37) * dt
+    finals = []
+    for w in (1, 2, 3):
+        forks = _on_cpus(monkeypatch, w)
+        finals.append(mc_simulator.final_states(model, starts, T, dt, seed=5))
+        assert len(forks) == w - 1
+        _assert_no_child_left()
+    assert finals[0].tobytes() == finals[1].tobytes() == finals[2].tobytes()
+
+
+class DriftFailure(Exception):
+    pass
+
+
+@forking
+@pytest.mark.parametrize("failing_rows", ["caller", "child"])
+def test_failing_span_raises_in_caller_and_leaves_no_child(monkeypatch, failing_rows):
+    """A drift that raises in the caller's share or in a child's share raises
+    the same exception type in the caller, and every child is reaped."""
+
+    def drift(t, x):
+        if (x[..., 0] > 5.0).any():
+            raise DriftFailure("drift refused a start point")
+        return np.zeros_like(x)
+
+    model = dataclasses.replace(sde_model.brownian(2), drift=drift)
+    starts = np.zeros((40, 2))
+    rows = slice(0, 20) if failing_rows == "caller" else slice(20, 40)
+    starts[rows, 0] = 10.0
+    forks = _on_cpus(monkeypatch, 2)
+    with pytest.raises(DriftFailure, match="refused"):
+        mc_simulator.final_states(model, starts, 0.1, 0.01, seed=3)
+    assert len(forks) == 1
+    _assert_no_child_left()
 
 
 def _full_window_reference(model, domain, starts, n_steps, dt, seed, first_index):
