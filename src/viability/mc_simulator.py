@@ -3,7 +3,9 @@
 Every path owns a counter-based random stream keyed by (seed, path index), and
 increments are drawn in fixed windows of WINDOW steps, each only up to the
 horizon: a shorter last window draws the leading rows of the full window, so
-every increment equals the one a full-window draw gives. Every time step runs in
+every increment equals the one a full-window draw gives. A block derives the
+Philox keys of all its paths in one vectorised hash (seeds.path_keys), and a
+model with no noise channels draws no increments at all. Every time step runs in
 one block loop, _simulate_block, and a path simulated alone is a block of one,
 so it matches the same path inside any batch bit for bit by construction.
 exit_probability and final_states cut their paths into spans and run them on
@@ -23,7 +25,7 @@ import numpy as np
 from .errors import ImmediateExit, NonFinite
 from .geometry import ImplicitDomain, signed_level
 from .sde_model import SdeModel
-from .seeds import path_generator
+from .seeds import path_generator, path_keys
 
 WINDOW = 1024  # steps per increment draw; fixed so stream layout never varies
 DEFAULT_BLOCK = 2048  # paths simulated per vectorized block
@@ -107,13 +109,16 @@ def _simulate_block(model, domain, starts, T, dt, seed, first_index):
     """The Euler-Maruyama time loop for a block of paths.
 
     Row i is path first_index + i and draws its increments from the stream
-    keyed by (seed, first_index + i). The block holds one Philox generator and
-    re-keys it for each path: the path's key (what Philox(SeedSequence(seed,
-    (index,))) derives) with counter 0 on its first window, the state it left
-    off at on a later one. Each window draws a (width, n) array per live path,
+    keyed by (seed, first_index + i). The block derives all its paths' keys
+    at once (seeds.path_keys: what Philox(SeedSequence(seed, (index,)))
+    derives), holds one Philox generator and re-keys it for each path: the
+    path's key with counter 0 on its first window, the state it left off at
+    on a later one. Each window draws a (width, n) array per live path,
     width = min(WINDOW, steps left to the horizon), into one (live, width, n)
     array; these are the leading rows of the full (WINDOW, n) window, so the
-    stream layout does not depend on the horizon. A path stops after the first
+    stream layout does not depend on the horizon. A model with no noise
+    channels (k = 0) reads no increments, so its block derives no keys and
+    draws nothing: dW is (live, width, 0). A path stops after the first
     step that overflows or leaves the domain (never when domain is None).
     Returns per-path arrays (states, steps, exited, nonfinite): the state and
     step count at the stop or the horizon, and which of the two stops ended
@@ -121,8 +126,10 @@ def _simulate_block(model, domain, starts, T, dt, seed, first_index):
     """
     n_steps = _n_steps(T, dt)
     B, n = starts.shape
+    k = model.diffusion(0.0, starts[:1]).shape[-1]  # noise channels
     gen = path_generator(seed, first_index)
     fresh = gen.bit_generator.state  # counter 0; its key is swapped per path
+    keys = path_keys(seed, np.arange(first_index, first_index + B)) if k else None
     resume = {}  # path -> its Philox state at the start of the next window
     x = np.array(starts, dtype=float)  # states of the live paths
     states = x.copy()
@@ -144,13 +151,12 @@ def _simulate_block(model, domain, starts, T, dt, seed, first_index):
         if not live.size:
             break
         width = min(WINDOW, n_steps - start)
-        dW = np.empty((live.size, width, n))
-        for r, i in enumerate(live.tolist()):
+        dW = np.empty((live.size, width, n if k else 0))
+        for r, i in enumerate(live.tolist() if k else ()):  # k = 0: no draws
             if start:
                 gen.bit_generator.state = resume.pop(i)
             else:
-                key = np.random.SeedSequence(seed, spawn_key=(first_index + i,))
-                fresh["state"]["key"] = key.generate_state(2, np.uint64)
+                fresh["state"]["key"] = keys[i]
                 gen.bit_generator.state = fresh
             gen.standard_normal(out=dW[r])
             if start + width < n_steps:
@@ -181,7 +187,8 @@ def _simulate_spans(model, domain, starts, T, dt, seed, block):
     shares. The caller simulates the first share itself and forks one child
     per later share, which pickles its per-path arrays back through a pipe.
     Row i keeps path index i wherever it runs, so the result is bit-identical
-    for any w. Every child is reaped before this returns or raises, and an
+    for any w; no rows give empty arrays and fork nothing. block must be at
+    least 1. Every child is reaped before this returns or raises, and an
     exception raised in a child is raised again here. Children are forked
     only where os.fork and os.sched_getaffinity exist (Linux); elsewhere, or
     with one span, everything runs in the caller. The children are forked,
@@ -194,7 +201,12 @@ def _simulate_spans(model, domain, starts, T, dt, seed, block):
     import pickle
     import signal
 
+    if block < 1:
+        raise ValueError("block must be >= 1")
     m = starts.shape[0]
+    if not m:  # nothing to simulate and nothing to fork
+        _n_steps(T, dt)
+        return [starts.copy(), np.zeros(0, int), np.zeros(0, bool), np.zeros(0, bool)]
     can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     cpus = len(os.sched_getaffinity(0)) if can_fork else 1
     span = min(block, -(-m // cpus))

@@ -497,3 +497,66 @@ def test_invalid_time_parameters():
         mc_simulator.exit_probability(
             model, domain, [0.0], T=1.0, dt=0.1, n_paths=0, seed=1
         )
+
+
+def _refuse_keys(seed, indices):
+    raise AssertionError("a model without noise channels derived path keys")
+
+
+def test_noise_free_model_derives_no_keys_and_draws_nothing(monkeypatch):
+    """ou_inward has no noise channels: over a horizon longer than WINDOW
+    steps, no span derives keys, and each final state is the plain drift
+    loop's, with an empty increment at every step."""
+    monkeypatch.setattr(mc_simulator, "path_keys", _refuse_keys)
+    model, domain = sde_model.ou_inward(2), geometry.ball([0.0, 0.0], 1.0)
+    dt = 2.0**-10
+    n_steps = mc_simulator.WINDOW + 37
+    est = mc_simulator.exit_probability(
+        model, domain, [0.5, 0.0], n_steps * dt, dt, n_paths=9, seed=3, block=4
+    )
+    assert est.n_exits == 0 and est.n_nonfinite == 0
+    starts = np.random.default_rng(7).uniform(-1.0, 1.0, size=(9, 2))
+    finals = mc_simulator.final_states(model, starts, n_steps * dt, dt, seed=3, block=4)
+    x = starts
+    for s in range(n_steps):
+        x = mc_simulator._em_update(model, s * dt, x, dt, np.empty((9, 0)))
+    assert finals.tobytes() == x.tobytes()
+
+
+def test_later_spans_draw_what_path_generator_draws():
+    """With spans of 3 paths, the spans starting at paths 3 and 6 key each
+    row from path_generator(seed, row), over two windows."""
+    model, seed = _affine_model(), 13
+    dt = 2.0**-10
+    W, extra = mc_simulator.WINDOW, 37
+    starts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(7, 2))
+    finals = mc_simulator.final_states(model, starts, (W + extra) * dt, dt, seed, block=3)
+    for i in range(7):
+        gen = seeds.path_generator(seed, i)
+        dW = np.concatenate([gen.standard_normal((W, 2)), gen.standard_normal((extra, 2))])
+        dW *= np.sqrt(dt)
+        x = starts[i : i + 1]
+        for s in range(W + extra):
+            x = mc_simulator._em_update(model, s * dt, x, dt, dW[s : s + 1])
+        assert finals[i].tobytes() == x[0].tobytes()
+
+
+def test_no_start_points_give_no_final_states(monkeypatch):
+    forks = _on_cpus(monkeypatch, 2) if hasattr(os, "sched_getaffinity") else []
+    finals = mc_simulator.final_states(sde_model.brownian(2), np.zeros((0, 2)), 1.0, 0.1, 1)
+    assert finals.shape == (0, 2)
+    assert not forks
+
+
+def test_block_below_one_is_refused():
+    model, domain = sde_model.brownian(2), geometry.ball([0.0, 0.0], 1.0)
+    with pytest.raises(ValueError, match="block must be >= 1"):
+        mc_simulator.exit_probability(model, domain, [0.0, 0.0], 1.0, 0.1, 10, 1, block=0)
+    with pytest.raises(ValueError, match="block must be >= 1"):
+        mc_simulator.final_states(model, np.zeros((3, 2)), 1.0, 0.1, 1, block=0)
+    with pytest.raises(ValueError, match="block must be >= 1"):
+        mc_simulator.final_states(model, np.zeros((0, 2)), 1.0, 0.1, 1, block=0)
+    with pytest.raises(ValueError, match="block must be >= 1"):
+        mc_simulator.dt_convergence_study(
+            model, domain, [0.0, 0.0], 1.0, [0.1, 0.05], 10, 1, block=-1
+        )
