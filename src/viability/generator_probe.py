@@ -148,7 +148,7 @@ def sample_initial_cloud(
         center = np.asarray(
             cfg.get("center", domain.center), dtype=float
         )
-        radius = float(cfg.get("radius", 0.5 * geometry.inner_radius(domain)))
+        radius = float(cfg.get("radius", 0.5 * domain.inner_radius))
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
         )

@@ -9,7 +9,7 @@ the boundary; for non-spherical domains this differs from the level-set offset
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,6 +31,23 @@ REGION_OUTSIDE = "outside"
 class ImplicitDomain:
     """Compact domain {Q <= 0} with analytic level derivatives.
 
+    A kind's builder in KINDS supplies everything the package asks of K:
+    - level_fn, gradient_fn, hessian_fn: Q and its derivatives, at a point
+      or at each row of a batch;
+    - bounding_radius, inner_radius: radii of balls around the center that
+      contain K and that K contains;
+    - ray_crossing: for rows u of unit directions, the distances s with
+      c + s u on the boundary (closed forms for the built-in kinds, whose
+      levels are homogeneous about the center);
+    - boundary_points(rng, count): area-weighted boundary points, drawn from
+      rng only;
+    - project: a closed-form projection X -> (feet, distances), or None for
+      the batched Newton iteration of project_to_boundary_batch;
+    - signed_distance: a closed-form signed Euclidean distance of rows, or
+      None for the distance found by projection.
+    A new kind is therefore one builder plus one KINDS entry; kind is its
+    name only.
+
     Built-in kinds: ball, ellipsoid, even_p_norm_ball. The level function of a
     ball is the exact signed Euclidean distance; the other kinds use smooth
     polynomial levels and reach the boundary through projection.
@@ -42,7 +59,12 @@ class ImplicitDomain:
     level_fn: Callable[[np.ndarray], float]
     gradient_fn: Callable[[np.ndarray], np.ndarray]
     hessian_fn: Callable[[np.ndarray], np.ndarray]
-    params: dict = field(default_factory=dict)
+    bounding_radius: float
+    inner_radius: float
+    ray_crossing: Callable[[np.ndarray], np.ndarray]
+    boundary_points: Callable[[np.random.Generator, int], np.ndarray]
+    project: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+    signed_distance: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def _row_sum(v: np.ndarray) -> np.ndarray:
@@ -56,6 +78,17 @@ def _row_sum(v: np.ndarray) -> np.ndarray:
     for j in range(1, v.shape[-1]):
         out = out + v[..., j]
     return out
+
+
+def _row_norm(u: np.ndarray) -> np.ndarray:
+    """Euclidean length over the last axis, of a point or of each row.
+
+    The square root of a stacked matmul of each row with itself takes the
+    row's dot product alone, as np.linalg.norm does for one point, so a row
+    gets the bits of that point. np.linalg.norm(U, axis=1) reduces the
+    squares without that dot and can differ in the last bit.
+    """
+    return np.sqrt((u[..., None, :] @ u[..., :, None])[..., 0, 0])
 
 
 @dataclass(frozen=True)
@@ -89,21 +122,38 @@ def ball(center, radius: float) -> ImplicitDomain:
         return float(q) if q.ndim == 0 else q
 
     def grad(x):
+        # Zero within GRAD_TOLERANCE of the center. A point takes the scalar
+        # form, which costs half the batch form per call; outward_normal
+        # calls it one point at a time. Both norms give a point the same bits.
         u = np.asarray(x, dtype=float) - c
-        nu = np.linalg.norm(u)
-        if nu < GRAD_TOLERANCE:
-            return np.zeros(n)
-        return u / nu
+        if u.ndim == 1:
+            nu = np.linalg.norm(u)
+            return u / nu if nu >= GRAD_TOLERANCE else np.zeros(n)
+        nu = _row_norm(u)[:, None]
+        return np.divide(u, nu, out=np.zeros_like(u), where=nu >= GRAD_TOLERANCE)
 
     def hess(x):
-        u = np.asarray(x, dtype=float) - c
-        nu = np.linalg.norm(u)
-        if nu < GRAD_TOLERANCE:
-            return np.zeros((n, n))
-        uhat = u / nu
-        return (np.eye(n) - np.outer(uhat, uhat)) / nu
+        uhat = grad(x)
+        nu = _row_norm(np.asarray(x, dtype=float) - c)[..., None, None]
+        P = np.eye(n) - uhat[..., :, None] * uhat[..., None, :]
+        return np.divide(P, nu, out=np.zeros_like(P), where=nu >= GRAD_TOLERANCE)
 
-    return ImplicitDomain(n, "ball", c, level, grad, hess, {"radius": r})
+    def project(X):
+        # Radially: the foot is c + r u / |u| for u = x - c, at distance
+        # ||u| - r|; a row at the center takes the first axis.
+        U = X - c
+        length = _row_norm(U)
+        return c + r * _unit_rows(U, length), np.abs(length - r)
+
+    return ImplicitDomain(
+        n, "ball", c, level, grad, hess,
+        bounding_radius=r,
+        inner_radius=r,
+        ray_crossing=lambda uhat: np.full(uhat.shape[0], r),
+        boundary_points=lambda rng, count: c[None, :] + r * _unit_directions(rng, count, n),
+        project=project,
+        signed_distance=level,
+    )
 
 
 def ellipsoid(center, semiaxes) -> ImplicitDomain:
@@ -114,6 +164,7 @@ def ellipsoid(center, semiaxes) -> ImplicitDomain:
         raise ValueError("semiaxes must be positive")
     n = c.shape[0]
     inv2 = 1.0 / (a * a)
+    a_min = float(np.min(a))
 
     def level(x):
         u = np.asarray(x, dtype=float) - c
@@ -127,7 +178,25 @@ def ellipsoid(center, semiaxes) -> ImplicitDomain:
     def hess(x):
         return 2.0 * np.diag(inv2)
 
-    return ImplicitDomain(n, "ellipsoid", c, level, grad, hess, {"semiaxes": a})
+    def boundary_points(rng, count):
+        # Map sphere directions through the semiaxes; correct to surface-area
+        # weighting by rejection. The area element of v -> A v on the unit
+        # sphere carries the factor det(A) |A^-1 v|, maximized at the
+        # shortest axis.
+        def draw():
+            v = _unit_directions(rng, 256, n)
+            w = np.linalg.norm(v / a[None, :], axis=1) * a_min  # in (0, 1]
+            return v[rng.random(256) < w]
+
+        return c[None, :] + rejection_fill(count, n, draw) * a[None, :]
+
+    return ImplicitDomain(
+        n, "ellipsoid", c, level, grad, hess,
+        bounding_radius=float(np.max(a)),
+        inner_radius=a_min,
+        ray_crossing=lambda uhat: 1.0 / np.sqrt(np.sum(uhat * uhat / a**2, axis=1)),
+        boundary_points=boundary_points,
+    )
 
 
 def even_p_norm_ball(center, radius: float, p: int) -> ImplicitDomain:
@@ -157,8 +226,27 @@ def even_p_norm_ball(center, radius: float, p: int) -> ImplicitDomain:
         u = np.asarray(x, dtype=float) - c
         return (p * (p - 1) * u ** (p - 2))[..., :, None] * np.eye(n)
 
+    def boundary_points(rng, count):
+        # Gamma(1/p) components give the cone measure on the unit p-sphere;
+        # the surface measure differs by the gradient-norm factor
+        # sqrt(sum u^(2p-2)), which is at most 1 on the sphere for even
+        # p >= 2, so rejection applies.
+        def draw():
+            g = rng.gamma(1.0 / p, 1.0, size=(256, n))
+            signs = rng.integers(0, 2, size=(256, n)) * 2 - 1
+            u = signs * g ** (1.0 / p)
+            u = u / (np.sum(g, axis=1) ** (1.0 / p))[:, None]
+            w = np.sqrt(np.sum(u ** (2 * p - 2), axis=1))
+            return u[rng.random(256) < w]
+
+        return c[None, :] + r * rejection_fill(count, n, draw)
+
     return ImplicitDomain(
-        n, "even_p_norm_ball", c, level, grad, hess, {"radius": r, "p": p}
+        n, "even_p_norm_ball", c, level, grad, hess,
+        bounding_radius=r * n ** (0.5 - 1.0 / p),
+        inner_radius=r,
+        ray_crossing=lambda uhat: r / np.sum(uhat**p, axis=1) ** (1.0 / p),
+        boundary_points=boundary_points,
     )
 
 
@@ -178,25 +266,6 @@ def from_config(cfg: dict) -> ImplicitDomain:
     if kind not in KINDS:
         raise ValueError(f"unknown domain kind: {kind!r}")
     return KINDS[kind](**args)
-
-
-def bounding_radius(domain: ImplicitDomain) -> float:
-    """Radius of a ball around the center that contains K."""
-    if domain.kind == "ball":
-        return domain.params["radius"]
-    if domain.kind == "ellipsoid":
-        return float(np.max(domain.params["semiaxes"]))
-    if domain.kind == "even_p_norm_ball":
-        r, p = domain.params["radius"], domain.params["p"]
-        return r * domain.dimension ** (0.5 - 1.0 / p)
-    raise ValueError(domain.kind)
-
-
-def inner_radius(domain: ImplicitDomain) -> float:
-    """Radius of a ball around the center contained in K."""
-    if domain.kind in ("ball", "even_p_norm_ball"):
-        return domain.params["radius"]
-    return float(np.min(domain.params["semiaxes"]))
 
 
 def signed_level(domain: ImplicitDomain, x) -> float:
@@ -222,7 +291,7 @@ def project_to_boundary(domain: ImplicitDomain, x) -> tuple[np.ndarray, float]:
     """Closest boundary point and its Euclidean distance.
 
     project_to_boundary_batch applied to a batch of one, for every kind; a
-    ball's batched closed form gives each row the bits of that point alone.
+    closed-form projection gives each row the bits of that point alone.
     """
     x = np.asarray(x, dtype=float)
     feet, dists = project_to_boundary_batch(domain, x[None, :])
@@ -240,24 +309,15 @@ def _unit_rows(U: np.ndarray, length: np.ndarray) -> np.ndarray:
 
 
 def _ray_crossing(domain: ImplicitDomain, X: np.ndarray):
-    """Unit directions from the center to the rows of X, and the distance s
-    from the center to the boundary along each.
-
-    Both non-ball levels are homogeneous about the center, so the crossing
-    has a closed form: s = 1 / sqrt(sum(u_i^2 / a_i^2)) for an ellipsoid and
-    s = r / |u|_p for a p-ball, for a unit direction u. A row at the center
-    takes the first axis as its direction (see _unit_rows).
+    """Unit directions from the center to the rows of X, the rows' distances
+    from the center, and the distances s from the center to the boundary
+    along the directions. A row at the center takes the first axis as its
+    direction (see _unit_rows).
     """
     U = X - domain.center
-    uhat = _unit_rows(U, np.linalg.norm(U, axis=1))
-    if domain.kind == "ellipsoid":
-        s = 1.0 / np.sqrt(np.sum(uhat * uhat / domain.params["semiaxes"] ** 2, axis=1))
-    elif domain.kind == "even_p_norm_ball":
-        r, p = domain.params["radius"], domain.params["p"]
-        s = r / np.sum(uhat**p, axis=1) ** (1.0 / p)
-    else:
-        raise ValueError(domain.kind)
-    return uhat, s
+    length = np.linalg.norm(U, axis=1)
+    uhat = _unit_rows(U, length)
+    return uhat, length, domain.ray_crossing(uhat)
 
 
 def distance_lower_bound(domain: ImplicitDomain, X) -> np.ndarray:
@@ -266,36 +326,25 @@ def distance_lower_bound(domain: ImplicitDomain, X) -> np.ndarray:
     Write x = c + lambda (b - c) with b on the boundary along the ray from the
     center c. K is convex and contains the ball of radius inner_radius around
     c, so its gauge is Lipschitz with constant 1 / inner_radius, and
-    dist(x, K) >= (lambda - 1) * inner_radius. For balls the bound is the
-    exact signed distance.
+    dist(x, K) >= (lambda - 1) * inner_radius.
     """
     X = np.asarray(X, dtype=float)
-    if domain.kind == "ball":
-        return signed_boundary_distance_batch(domain, X)
-    _, s = _ray_crossing(domain, X)
-    gauge = np.linalg.norm(X - domain.center, axis=1) / s
-    return (gauge - 1.0) * inner_radius(domain)
+    _, length, s = _ray_crossing(domain, X)
+    return (length / s - 1.0) * domain.inner_radius
 
 
 def project_to_boundary_batch(domain: ImplicitDomain, X) -> tuple[np.ndarray, np.ndarray]:
     """Closest boundary points of the rows of X and their Euclidean distances.
 
-    Non-ball kinds solve the first-order conditions z - x + mu grad Q(z) = 0,
-    Q(z) = 0 of min |x - z|^2 subject to Q(z) = 0 for all rows at once: a
-    damped Newton iteration started from the crossing of the boundary with
-    the ray from the center through x, with a batched solve of the bordered
-    Jacobians and a backtracking line search per row. A row leaves the
-    iteration once its residual is below tolerance, so each row's result
-    depends on that row alone. A row at the center starts from the crossing
-    along the first axis (see _ray_crossing).
-
-    Balls are projected radially in closed form, all rows at once: the foot
-    is c + r u / |u| for u = x - c, at distance ||u| - r|, and a row at the
-    center takes the first axis (see _unit_rows). Each row length is the
-    square root of a stacked matmul of the row with itself, which takes the
-    row's dot product alone, as np.linalg.norm does for one point, so a row
-    gets the bits of that point projected alone. np.linalg.norm(U, axis=1)
-    reduces the squares without that dot and can differ in the last bit.
+    A kind with a closed-form projection uses it. The others solve the
+    first-order conditions z - x + mu grad Q(z) = 0, Q(z) = 0 of
+    min |x - z|^2 subject to Q(z) = 0 for all rows at once: a damped Newton
+    iteration started from the crossing of the boundary with the ray from
+    the center through x, with a batched solve of the bordered Jacobians and
+    a backtracking line search per row. A row leaves the iteration once its
+    residual is below tolerance, so each row's result depends on that row
+    alone. A row at the center starts from the crossing along the first axis
+    (see _ray_crossing).
 
     From outside the convex built-in kinds the iteration reaches the closest
     point. Inside, it may stop at a stationary point that is not the closest
@@ -303,18 +352,15 @@ def project_to_boundary_batch(domain: ImplicitDomain, X) -> tuple[np.ndarray, np
     NoConvergence when any row fails to converge.
     """
     X = np.asarray(X, dtype=float)
-    if domain.kind == "ball":
-        c, r = domain.center, domain.params["radius"]
-        U = X - c
-        length = np.sqrt((U[:, None, :] @ U[:, :, None])[:, 0, 0])
-        return c + r * _unit_rows(U, length), np.abs(length - r)
+    if domain.project is not None:
+        return domain.project(X)
     m, n = X.shape
-    uhat, s = _ray_crossing(domain, X)
+    uhat, length, s = _ray_crossing(domain, X)
     z = domain.center + s[:, None] * uhat
     g = domain.gradient_fn(z)
     g2 = np.sum(g * g, axis=1)
     mu = np.divide(np.sum((X - z) * g, axis=1), g2, out=np.zeros(m), where=g2 > 0)
-    tol = PROJECT_TOL * (1.0 + np.linalg.norm(X - domain.center, axis=1))
+    tol = PROJECT_TOL * (1.0 + length)
     eye = np.eye(n)
 
     def residual(x, z, mu):
@@ -374,16 +420,15 @@ def project_to_boundary_batch(domain: ImplicitDomain, X) -> tuple[np.ndarray, np
 def signed_boundary_distance(domain: ImplicitDomain, x) -> float:
     """Euclidean distance to the boundary, negative inside K."""
     x = np.asarray(x, dtype=float)
-    if domain.kind == "ball":
-        return float(domain.level_fn(x))
     return float(signed_boundary_distance_batch(domain, x[None, :])[0])
 
 
 def signed_boundary_distance_batch(domain: ImplicitDomain, X: np.ndarray) -> np.ndarray:
-    """Vectorized signed boundary distance; a ball's level is the distance."""
+    """Vectorized signed boundary distance: the kind's closed form, else the
+    projection distance signed by the level."""
     X = np.asarray(X, dtype=float)
-    if domain.kind == "ball":
-        return domain.level_fn(X)
+    if domain.signed_distance is not None:
+        return domain.signed_distance(X)
     _, d = project_to_boundary_batch(domain, X)
     return np.where(domain.level_fn(X) <= 0.0, -d, d)
 
@@ -407,10 +452,6 @@ def offset_membership(domain: ImplicitDomain, x, eps: float) -> str:
     if d <= 3.0 * eps:
         return REGION_SHELL
     return REGION_OUTSIDE
-
-
-def _sampler_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
 
 
 def rejection_fill(count: int, n: int, draw: Callable[[], np.ndarray]) -> np.ndarray:
@@ -441,52 +482,12 @@ def _unit_directions(rng: np.random.Generator, count: int, n: int) -> np.ndarray
     return rejection_fill(count, n, draw)
 
 
-def _boundary_points_ball(domain, rng, count):
-    u = _unit_directions(rng, count, domain.dimension)
-    r = domain.params["radius"]
-    return domain.center[None, :] + r * u
-
-
-def _boundary_points_ellipsoid(domain, rng, count):
-    # Map sphere directions through the semiaxes; correct to surface-area
-    # weighting by rejection. The area element of v -> A v on the unit sphere
-    # carries the factor det(A) |A^-1 v|, maximized at the shortest axis.
-    a = domain.params["semiaxes"]
-    n = domain.dimension
-    a_min = float(np.min(a))
-
-    def draw():
-        v = _unit_directions(rng, 256, n)
-        w = np.linalg.norm(v / a[None, :], axis=1) * a_min  # in (0, 1]
-        return v[rng.random(256) < w]
-
-    return domain.center[None, :] + rejection_fill(count, n, draw) * a[None, :]
-
-
-def _boundary_points_p_ball(domain, rng, count):
-    # Gamma(1/p) components give the cone measure on the unit p-sphere; the
-    # surface measure differs by the gradient-norm factor sqrt(sum u^(2p-2)),
-    # which is at most 1 on the sphere for even p >= 2, so rejection applies.
-    r, p = domain.params["radius"], domain.params["p"]
-    n = domain.dimension
-
-    def draw():
-        g = rng.gamma(1.0 / p, 1.0, size=(256, n))
-        signs = rng.integers(0, 2, size=(256, n)) * 2 - 1
-        u = signs * g ** (1.0 / p)
-        u = u / (np.sum(g, axis=1) ** (1.0 / p))[:, None]
-        w = np.sqrt(np.sum(u ** (2 * p - 2), axis=1))
-        return u[rng.random(256) < w]
-
-    return domain.center[None, :] + r * rejection_fill(count, n, draw)
-
-
 def sample_offset_boundary(
     domain: ImplicitDomain, eps: float, count: int, seed: int
 ) -> list[BoundarySample]:
     """Area-weighted samples of the offset surface at distance eps from K.
 
-    Boundary points of K are drawn area-weighted for each built-in kind and
+    Boundary points of K are drawn area-weighted by the kind's sampler and
     pushed distance eps along the outward normal; for the convex built-in
     kinds the pushed point has dist(z, K) = eps exactly. eps = 0 returns
     boundary points with implicit-gradient normals. Deterministic for a fixed
@@ -496,18 +497,9 @@ def sample_offset_boundary(
         raise ValueError("eps must be nonnegative")
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = _sampler_rng(seed)
-    if domain.kind == "ball":
-        feet = _boundary_points_ball(domain, rng, count)
-    elif domain.kind == "ellipsoid":
-        feet = _boundary_points_ellipsoid(domain, rng, count)
-    elif domain.kind == "even_p_norm_ball":
-        feet = _boundary_points_p_ball(domain, rng, count)
-    else:
-        raise ValueError(domain.kind)
-
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
     samples = []
-    for foot in feet:
+    for foot in domain.boundary_points(rng, count):
         nu = outward_normal(domain, foot)
         z = foot + eps * nu
         samples.append(BoundarySample(point=z, normal=nu, offset=float(eps)))

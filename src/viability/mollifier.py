@@ -281,16 +281,16 @@ def _offset_distances(ind: SmoothedIndicator, Z: np.ndarray, margin: float):
     """Signed distance of each node to the boundary of K_2eps, exact where it
     lies within margin of zero.
 
-    Balls use the closed form for every node. For other kinds only the nodes
-    that can lie within the margin are projected, in one batch. Any other node
-    gets its distance lower bound minus 2 eps, which lies on the same side of
-    the margin as the exact value: past +margin for a node whose bound already
-    exceeds 2 eps + margin, and at most -2 eps for a node of K, where the
-    bound is not positive.
+    A kind with a closed-form signed distance uses it for every node. For
+    other kinds only the nodes that can lie within the margin are projected,
+    in one batch. Any other node gets its distance lower bound minus 2 eps,
+    which lies on the same side of the margin as the exact value: past
+    +margin for a node whose bound already exceeds 2 eps + margin, and at
+    most -2 eps for a node of K, where the bound is not positive.
     """
     two_eps = 2.0 * ind.eps
     domain = ind.domain
-    if domain.kind == "ball":
+    if domain.signed_distance is not None:
         return geometry.signed_boundary_distance_batch(domain, Z) - two_eps
     sd = geometry.distance_lower_bound(domain, Z) - two_eps
     band = np.flatnonzero((domain.level_fn(Z) > 0.0) & (sd <= margin))

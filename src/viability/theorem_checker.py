@@ -163,7 +163,7 @@ def _profile(
     never below its sampled maximum.
     """
     objective = lambda smp: max(pointwise(s, smp) for s in time_grid)
-    reach = 0.05 * geometry.bounding_radius(domain)
+    reach = 0.05 * domain.bounding_radius
     sups, starts, walks = [], [], []
     for e_idx, (eps, samples) in enumerate(zip(eps_grid, stages)):
         values = np.array([objective(smp) for smp in samples])
@@ -308,7 +308,7 @@ def condition3_verdict(profile: Sequence[float], delta_margin: float = 1e-3) -> 
 
 
 def _default_box(domain: ImplicitDomain) -> tuple[np.ndarray, np.ndarray]:
-    r = geometry.bounding_radius(domain) + 1.0
+    r = domain.bounding_radius + 1.0
     lo = domain.center - r
     hi = domain.center + r
     return lo, hi

@@ -94,7 +94,7 @@ def _parent_ball_projection(domain, x):
     # The scalar closed form that projected one point onto a ball before
     # balls were projected as a batch, kept verbatim as the reference.
     x = np.asarray(x, dtype=float)
-    c, r = domain.center, domain.params["radius"]
+    c, r = domain.center, domain.inner_radius
     u = x - c
     nu = np.linalg.norm(u)
     if nu < 1e-13:
@@ -279,7 +279,7 @@ def test_project_to_boundary_batch_matches_batch_of_one(domain):
     outside = domain.center + rng.uniform(-2.5, 2.5, size=(40, n))
     outside = outside[domain.level_fn(outside) > 0.0]
     # interior points on the shortest axis, off the medial axis, and the center
-    inside = domain.center + geometry.inner_radius(domain) * np.outer([0.6, -0.3], np.eye(n)[-1])
+    inside = domain.center + domain.inner_radius * np.outer([0.6, -0.3], np.eye(n)[-1])
     X = np.vstack([outside, inside, domain.center])
     feet, dists = geometry.project_to_boundary_batch(domain, X)
     assert feet.shape == X.shape and dists.shape == (X.shape[0],)
@@ -338,13 +338,73 @@ def test_offset_membership_interior_point_of_implicit_domain():
     assert geometry.offset_membership(d, [1.55, 0.0], 0.1) == "in_K_eps"
 
 
+OFF_ORIGIN_ELLIPSOID_3D = geometry.ellipsoid([0.3, -0.2, 0.1], [1.5, 1.0, 1.2])
+
+
 def test_bounding_and_inner_radius():
-    assert geometry.bounding_radius(unit_ball()) == 1.0
-    e = geometry.ellipsoid([0.0, 0.0], [2.0, 1.0])
-    assert geometry.bounding_radius(e) == 2.0
-    assert geometry.inner_radius(e) == 1.0
-    p = geometry.even_p_norm_ball([0.0, 0.0], 1.0, 4)
-    assert geometry.bounding_radius(p) == pytest.approx(2 ** 0.25, rel=1e-12)
+    cases = [
+        (unit_ball(), 1.0, 1.0),
+        (geometry.ellipsoid([0.0, 0.0], [2.0, 1.0]), 2.0, 1.0),
+        (geometry.even_p_norm_ball([0.0, 0.0], 1.0, 4), 2 ** 0.25, 1.0),
+        (OFF_ORIGIN_ELLIPSOID_3D, 1.5, 1.0),
+        (geometry.even_p_norm_ball([0.0, 0.1, 0.0], 1.0, 4), 3 ** 0.25, 1.0),
+    ]
+    rng = np.random.default_rng(19)
+    for domain, bounding, inner in cases:
+        assert domain.bounding_radius == bounding
+        assert domain.inner_radius == inner
+        c, n = domain.center, domain.dimension
+        # boundary samples lie between the two spheres
+        z = np.array([s.point for s in geometry.sample_offset_boundary(domain, 0.0, 300, 9)])
+        r = np.linalg.norm(z - c, axis=1)
+        assert np.all(r >= inner - 1e-12) and np.all(r <= bounding + 1e-12)
+        # the ray crossing lies on the boundary
+        u = rng.standard_normal((300, n))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        s = domain.ray_crossing(u)
+        assert np.max(np.abs(domain.level_fn(c + s[:, None] * u))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "domain",
+    BUILT_IN_KINDS + [OFF_ORIGIN_ELLIPSOID_3D],
+    ids=lambda d: f"{d.kind}{d.dimension}d{'_off_origin' if d is OFF_ORIGIN_ELLIPSOID_3D else ''}",
+)
+def test_distance_lower_bound(domain):
+    # The lattice skips projecting a node whose bound is already past the
+    # band, so the bound must not exceed the distance outside K and must not
+    # be positive inside. Inside, projection can stop on the medial axis, so
+    # interior bounds are compared with 0 only.
+    rng = np.random.default_rng(29)
+    X = np.vstack([domain.center + rng.uniform(-3.0, 3.0, size=(300, domain.dimension)), domain.center])
+    outside = domain.level_fn(X) > 0.0
+    assert 0 < outside.sum() < X.shape[0]
+    bound = geometry.distance_lower_bound(domain, X)
+    exact = geometry.signed_boundary_distance_batch(domain, X[outside])
+    assert np.all(bound[outside] <= exact + 1e-12)
+    assert np.all(bound[~outside] <= 0.0)
+
+
+@pytest.mark.parametrize("domain", BUILT_IN_KINDS, ids=lambda d: f"{d.kind}{d.dimension}d")
+def test_derivatives_of_a_batch_are_those_of_its_rows(domain):
+    rng = np.random.default_rng(37)
+    n = domain.dimension
+    X = np.vstack([domain.center + rng.uniform(-2.0, 2.0, size=(50, n)), domain.center])
+    np.testing.assert_array_equal(
+        domain.gradient_fn(X), np.array([domain.gradient_fn(x) for x in X])
+    )
+    np.testing.assert_array_equal(
+        np.broadcast_to(domain.hessian_fn(X), (X.shape[0], n, n)),
+        np.array([domain.hessian_fn(x) for x in X]),
+    )
+
+
+def test_ball_gradient_normalizes_each_row():
+    d = unit_ball()
+    np.testing.assert_array_equal(d.gradient_fn([[2.0, 0.0], [0.0, 3.0]]), np.eye(2))
+    # a single point keeps the bits of u / np.linalg.norm(u)
+    for x in np.random.default_rng(41).uniform(-2.0, 2.0, size=(200, 2)):
+        assert d.gradient_fn(x).tobytes() == (x / np.linalg.norm(x)).tobytes()
 
 
 def test_from_config_dispatch():

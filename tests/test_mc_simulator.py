@@ -410,6 +410,13 @@ def test_start_outside_domain_raises():
         )
 
 
+# The simulator reads a domain's level only, so a domain built for it alone
+# leaves the boundary operations as placeholders.
+SIMULATOR_ONLY = dict(
+    bounding_radius=np.inf, inner_radius=np.inf, ray_crossing=None, boundary_points=None
+)
+
+
 def _whole_space(n):
     """Domain whose level is -1 everywhere, so no path can ever exit."""
     return geometry.ImplicitDomain(
@@ -419,7 +426,7 @@ def _whole_space(n):
         level_fn=lambda x: np.sum(np.asarray(x, dtype=float) * 0.0, axis=-1) - 1.0,
         gradient_fn=lambda x: np.zeros(n),
         hessian_fn=lambda x: np.zeros((n, n)),
-        params={},
+        **SIMULATOR_ONLY,
     )
 
 
@@ -446,7 +453,7 @@ def test_overflow_with_finite_level_counts_as_nonfinite():
         level_fn=lambda x: np.full(np.shape(x)[:-1], -1.0),
         gradient_fn=lambda x: np.zeros(1),
         hessian_fn=lambda x: np.zeros((1, 1)),
-        params={},
+        **SIMULATOR_ONLY,
     )
     model = sde_model.outward(1, rate=50.0)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -275,7 +275,7 @@ def _reproject(domain, eps, x):
 def _refine_sup(domain, eps, samples, objective, values):
     best = float(np.max(values))
     order = np.argsort(values)[::-1][:REFINE_TOP]
-    scale = max(eps, 0.05 * geometry.bounding_radius(domain))
+    scale = max(eps, 0.05 * domain.bounding_radius)
     for start in order:
         sample = samples[start]
         current = float(values[start])
