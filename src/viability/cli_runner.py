@@ -39,12 +39,12 @@ VERDICT_OBS_ONLY = "not_predicted_observed"
 VERDICT_NEITHER = "not_predicted_not_observed"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
-# CheckerConfig holds the checker defaults; the root seed feeds its seed, and
-# regularity_box is library-only. Tuples are echoed as JSON lists.
+# CheckerConfig holds the checker defaults; the root seed feeds its seed.
+# Tuples are echoed as JSON lists.
 CHECK_DEFAULTS = {
     f.name: list(f.default) if isinstance(f.default, tuple) else f.default
     for f in fields(CheckerConfig)
-    if f.name not in ("seed", "regularity_box")
+    if f.name != "seed"
 }
 PROBE_DEFAULTS = {
     "eps": 0.1,
@@ -146,7 +146,7 @@ def resolve_config(raw: dict) -> dict:
         "probe": _merge_section(raw, "probe", PROBE_DEFAULTS),
         "sim": _merge_section(raw, "sim", SIM_DEFAULTS),
         "quad": _merge_section(raw, "quad", QUAD_DEFAULTS),
-        "output": dict(raw.get("output", {"dir": "."})),
+        "output": _merge_section(raw, "output", {"dir": "."}),
     }
     if cfg["sim"]["seed"] is None:
         cfg["sim"]["seed"] = cfg["seed"]
@@ -164,6 +164,8 @@ def resolve_config(raw: dict) -> dict:
             value = cfg[section][key]
             if not _is_number(value):
                 raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
+    if not isinstance(cfg["output"]["dir"], str):
+        raise ConfigError(f"output.dir must be a string, got {cfg['output']['dir']!r}")
     for section, key in REAL_LISTS:
         value = cfg[section][key]
         if value is not None and not (
@@ -237,17 +239,10 @@ def _probe_dict(result) -> dict:
 
 
 def _run_check(model, domain, cfg):
-    check = cfg["check"]
+    """Every check key is a CheckerConfig field, cast to its default's type."""
+    cast = {f.name: type(f.default) for f in fields(CheckerConfig)}
     checker_cfg = CheckerConfig(
-        eps_grid=tuple(check["eps_grid"]),
-        samples_per_eps=int(check["samples_per_eps"]),
-        delta_abs=float(check["delta_abs"]),
-        delta_margin=float(check["delta_margin"]),
-        p_min=float(check["p_min"]),
-        time_grid=tuple(check["time_grid"]),
-        seed=int(cfg["seed"]),
-        lipschitz_L=float(check["lipschitz_L"]),
-        regularity_pairs=int(check["regularity_pairs"]),
+        seed=int(cfg["seed"]), **{k: cast[k](v) for k, v in cfg["check"].items()}
     )
     return theorem_checker.theorem1_report(model, domain, checker_cfg)
 
@@ -342,8 +337,9 @@ def run(
 ) -> tuple[dict, int]:
     """Execute a pipeline and write report.json plus CSV side files.
 
-    Returns the report dict and the process exit code. threads is accepted
-    for existing callers and has no effect.
+    Returns the report dict and the process exit code. threads has no
+    effect; it is kept because the benchmark worker (perfbench/worker.py)
+    passes it.
     """
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
@@ -354,7 +350,7 @@ def run(
     model = sde_model.from_config(cfg["model"])
     domain = geometry.from_config(cfg["domain"])
 
-    out = Path(out_dir) if out_dir is not None else Path(cfg["output"].get("dir", "."))
+    out = Path(out_dir if out_dir is not None else cfg["output"]["dir"])
     out.mkdir(parents=True, exist_ok=True)
 
     report: dict = {
@@ -460,6 +456,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory (default from config)")
     parser.add_argument("--seed", type=int, default=None, help="override every configured seed")
+    # kept so that scripts passing --threads still run instead of exiting 2
     parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     args = parser.parse_args(argv)
 

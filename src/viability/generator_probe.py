@@ -20,7 +20,7 @@ from .errors import ImmediateExit
 from .geometry import ImplicitDomain
 from .mollifier import SmoothedIndicator
 from .sde_model import SdeModel
-from .seeds import child_seed
+from .seeds import child_seed, generator
 
 SHELL_EDGE_GUARD = 1e-6  # keeps sampled distances strictly inside (eps, 3 eps)
 
@@ -80,7 +80,6 @@ def shell_sign_check(
     s: float,
     n_points: int,
     seed: int,
-    tol_shell: float | None = None,
     tol_shell_factor: float = 1.0,
     nodes_per_axis: int = mollifier.DEFAULT_NODES_PER_AXIS,
     qmc_points: int = mollifier.DEFAULT_QMC_POINTS,
@@ -89,17 +88,15 @@ def shell_sign_check(
 
     Probe points combine area-weighted boundary directions with distances
     drawn uniformly from (eps, 3 eps), so every point carries the shell region
-    tag. The pass verdict is reproducible bit-exactly for a fixed seed.
+    tag. The tolerance is default_shell_tolerance scaled by tol_shell_factor.
+    The pass verdict is reproducible bit-exactly for a fixed seed.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     feet = geometry.sample_offset_boundary(
         domain, 0.0, n_points, child_seed(seed, 0)
     )
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-    )
-    u = rng.random(n_points)
+    u = generator(seed, 1).random(n_points)
     dists = eps * (1.0 + SHELL_EDGE_GUARD + 2.0 * (1.0 - 2.0 * SHELL_EDGE_GUARD) * u)
 
     points = np.array([f.point + d * f.normal for f, d in zip(feet, dists)])
@@ -113,11 +110,7 @@ def shell_sign_check(
     )
     values = np.array([apply_generator(model, ind, s, p) for p in points])
 
-    tol = (
-        tol_shell
-        if tol_shell is not None
-        else default_shell_tolerance(model, points, s, eps, tol_shell_factor)
-    )
+    tol = default_shell_tolerance(model, points, s, eps, tol_shell_factor)
     min_value = float(values.min())
     return ShellProbeResult(
         eps=float(eps),
@@ -149,9 +142,7 @@ def sample_initial_cloud(
             cfg.get("center", domain.center), dtype=float
         )
         radius = float(cfg.get("radius", 0.5 * domain.inner_radius))
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
-        )
+        rng = generator(seed, 2)
         n = domain.dimension
 
         def draw():

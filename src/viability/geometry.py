@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateGradient, NoConvergence
+from .seeds import generator
 
 GRAD_TOLERANCE = 1e-12
 LEVEL_TOLERANCE = 1e-10
@@ -97,7 +98,6 @@ class BoundarySample:
 
     point: np.ndarray
     normal: np.ndarray
-    offset: float
 
 
 def _vector(name: str, value, n: int | None = None) -> np.ndarray:
@@ -497,10 +497,10 @@ def sample_offset_boundary(
         raise ValueError("eps must be nonnegative")
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
+    rng = generator(seed)
     samples = []
     for foot in domain.boundary_points(rng, count):
         nu = outward_normal(domain, foot)
         z = foot + eps * nu
-        samples.append(BoundarySample(point=z, normal=nu, offset=float(eps)))
+        samples.append(BoundarySample(point=z, normal=nu))
     return samples

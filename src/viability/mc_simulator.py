@@ -53,11 +53,11 @@ class ExitEstimate:
     n_nonfinite: int = 0
 
 
-def wilson_interval(k: int, n: int, z: float = Z95) -> tuple[float, float]:
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    p = k / n
+    p, z = k / n, Z95
     denom = 1.0 + z * z / n
     center = (p + z * z / (2.0 * n)) / denom
     half = z * np.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
@@ -309,14 +309,13 @@ def exit_probability(
     n_paths: int,
     seed: int,
     block: int = DEFAULT_BLOCK,
-    threads: int = 1,
 ) -> ExitEstimate:
     """Fraction of paths that leave the domain by the horizon, with a Wilson CI.
 
     Per-path streams are keyed by (seed, path index), so the estimate is
     bit-identical for any block size and any CPU count (see _simulate_spans).
     Paths that overflow are counted in n_nonfinite and excluded from the exit
-    count. threads is accepted for existing callers and has no effect.
+    count.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -369,13 +368,11 @@ def dt_convergence_study(
     n_paths: int,
     seed: int,
     block: int = DEFAULT_BLOCK,
-    threads: int = 1,
 ) -> list[ExitEstimate]:
     """exit_probability at each dt in a decreasing list, common path count.
 
     Separates genuine exits from discretization artifacts: an estimate that
-    shrinks as dt decreases indicates scheme-induced leakage. threads has no
-    effect, as in exit_probability.
+    shrinks as dt decreases indicates scheme-induced leakage.
     """
     arr = _check_dt_list(T, dt_list)
     return [

@@ -61,11 +61,13 @@ class MollifierSpec:
 UNIT_BUMP_INTEGRAL = {1: 0.4439938161680794, 2: 0.46651239317833, 3: 0.44108888727660434}
 
 
-def _unit_bump_integral_qmc(n: int, points: int, tol: float) -> float:
-    """Quasi-random estimate of I_n over [-1,1]^n with ball masking."""
+def _unit_bump_integral_qmc(n: int) -> float:
+    """Quasi-random estimate of I_n over [-1,1]^n with ball masking, from
+    DEFAULT_QMC_POINTS points; refused when the estimate from the first half
+    of them differs by more than 1e-3 relative."""
     from scipy.stats import qmc
 
-    m = max(8, int(np.ceil(np.log2(points))))
+    m = max(8, int(np.ceil(np.log2(DEFAULT_QMC_POINTS))))
     sob = qmc.Sobol(d=n, scramble=True, seed=7)
     u = 2.0 * sob.random(2**m) - 1.0
     r2 = np.sum(u * u, axis=1)
@@ -74,7 +76,7 @@ def _unit_bump_integral_qmc(n: int, points: int, tol: float) -> float:
     vals[mask] = np.exp(np.maximum(-1.0 / (1.0 - r2[mask]), EXP_CLAMP))
     full = vals.mean() * 2.0**n
     half = vals[: 2 ** (m - 1)].mean() * 2.0**n
-    if abs(full - half) > tol * max(full, 1e-300):
+    if abs(full - half) > 1e-3 * max(full, 1e-300):
         raise ToleranceNotMet(
             f"qmc estimate for n={n} moved by {abs(full - half):.2e} "
             f"between {2**(m-1)} and {2**m} points"
@@ -82,14 +84,12 @@ def _unit_bump_integral_qmc(n: int, points: int, tol: float) -> float:
     return full
 
 
-def normalization_constant(
-    n: int, eps: float, tol: float = 1e-10, qmc_points: int = DEFAULT_QMC_POINTS
-) -> float:
+def normalization_constant(n: int, eps: float) -> float:
     """Constant c_eps with c_eps * eps^n * I_n = 1.
 
     Dimensions up to 3 use frozen values of adaptive radial quadrature
     (UNIT_BUMP_INTEGRAL); higher dimensions use a quasi-random volume estimate
-    and accept a wider tolerance. The scaling c_eps = c_1 * eps^-n holds
+    (_unit_bump_integral_qmc). The scaling c_eps = c_1 * eps^-n holds
     exactly by construction.
     """
     if n < 1:
@@ -98,11 +98,11 @@ def normalization_constant(
         raise ValueError("eps must be positive")
     if n <= 3:
         return 1.0 / (UNIT_BUMP_INTEGRAL[n] * eps**n)
-    return 1.0 / (_unit_bump_integral_qmc(n, qmc_points, max(tol, 1e-3)) * eps**n)
+    return 1.0 / (_unit_bump_integral_qmc(n) * eps**n)
 
 
-def make_spec(n: int, eps: float, tol: float = 1e-10) -> MollifierSpec:
-    return MollifierSpec(n, float(eps), normalization_constant(n, eps, tol))
+def make_spec(n: int, eps: float) -> MollifierSpec:
+    return MollifierSpec(n, float(eps), normalization_constant(n, eps))
 
 
 def _as_batch(x) -> tuple[np.ndarray, bool]:

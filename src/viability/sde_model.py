@@ -16,6 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .seeds import generator
+
 FD_REL_STEP = 1e-6
 
 
@@ -266,7 +268,7 @@ def check_regularity(
         raise ValueError("pairs must be >= 1")
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
+    rng = generator(seed)
     max_lip = 0.0
     max_growth = 0.0
     for _ in range(pairs):

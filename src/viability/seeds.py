@@ -11,15 +11,19 @@ def child_seed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def generator(seed: int, *key: int) -> np.random.Generator:
+    """The Philox generator keyed by (seed, *key) through a spawned seed sequence."""
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+    return np.random.Generator(np.random.Philox(ss))
+
+
 def path_generator(seed: int, index: int) -> np.random.Generator:
     """Counter-based generator for one simulated path.
 
-    Keyed by (seed, path index) through a spawned seed sequence feeding a
-    Philox stream, so any path can be regenerated in isolation regardless of
-    how paths are batched or scheduled.
+    Keyed by (seed, path index), so any path can be regenerated in isolation
+    regardless of how paths are batched or scheduled.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
-    return np.random.Generator(np.random.Philox(ss))
+    return generator(seed, index)
 
 
 _MASK32 = 0xFFFFFFFF

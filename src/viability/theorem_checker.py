@@ -54,7 +54,6 @@ class CheckerConfig:
     seed: int = 12345
     lipschitz_L: float = 10.0
     regularity_pairs: int = 200
-    regularity_box: tuple | None = None
 
 
 @dataclass
@@ -134,7 +133,7 @@ def _walk(
             for sgn in (1.0, -1.0):
                 foot = yield sample.point + sgn * step * t
                 nu = geometry.outward_normal(domain, foot)
-                cand = BoundarySample(point=foot + eps * nu, normal=nu, offset=eps)
+                cand = BoundarySample(point=foot + eps * nu, normal=nu)
                 val = objective(cand)
                 if val > current:
                     sample, current, improved = cand, val, True
@@ -307,24 +306,18 @@ def condition3_verdict(profile: Sequence[float], delta_margin: float = 1e-3) -> 
     return VERDICT_INCONCLUSIVE
 
 
-def _default_box(domain: ImplicitDomain) -> tuple[np.ndarray, np.ndarray]:
-    r = domain.bounding_radius + 1.0
-    lo = domain.center - r
-    hi = domain.center + r
-    return lo, hi
-
-
 def theorem1_report(
     model: SdeModel, domain: ImplicitDomain, config: CheckerConfig | None = None
 ) -> ConditionReport:
     """Run the regularity spot check and both boundary conditions.
 
-    Invariance is predicted only when the regularity check passes and both
-    condition verdicts are holds. Both conditions take their sups over one
-    draw of the offset samples, the one condition2_profile and
-    condition3_profile each make alone. Failures inside one phase are
-    recorded in the report and leave the other phases intact; a failed draw
-    is recorded for both conditions.
+    The regularity check samples the box of half-width bounding_radius + 1
+    around the domain center. Invariance is predicted only when the
+    regularity check passes and both condition verdicts are holds. Both
+    conditions take their sups over one draw of the offset samples, the one
+    condition2_profile and condition3_profile each make alone. Failures
+    inside one phase are recorded in the report and leave the other phases
+    intact; a failed draw is recorded for both conditions.
     """
     cfg = config or CheckerConfig()
     if model.dimension != domain.dimension:
@@ -347,11 +340,11 @@ def theorem1_report(
     )
 
     try:
-        box = cfg.regularity_box or _default_box(domain)
+        r = domain.bounding_radius + 1.0
         report.regularity = sde_model.check_regularity(
             model,
             cfg.lipschitz_L,
-            box,
+            (domain.center - r, domain.center + r),
             cfg.regularity_pairs,
             child_seed(cfg.seed, 1001),
             times=cfg.time_grid,

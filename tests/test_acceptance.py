@@ -248,7 +248,6 @@ def test_criterion_7_monte_carlo_cross_check():
         dt_list=[1e-3, 1e-4],
         n_paths=10_000,
         seed=SEED,
-        threads=4,
     )
     coarse, fine = study
     rot_ok = coarse.p_hat <= 0.001 and (
@@ -263,7 +262,6 @@ def test_criterion_7_monte_carlo_cross_check():
         dt=1e-3,
         n_paths=10_000,
         seed=SEED,
-        threads=4,
     )
     bm_ok = bm.ci_low > 0.05 and abs(bm.p_hat - BROWNIAN_EXIT_EM_PIN) <= 0.02
     elapsed = time.perf_counter() - start

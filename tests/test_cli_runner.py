@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line runner and its report files."""
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 from viability import cli_runner
 from viability.errors import ConfigError
+from viability.theorem_checker import CheckerConfig
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -153,6 +155,13 @@ def test_report_echoes_resolved_config(tmp_path):
         {k: v for k, v in echoed.items() if k != "quad"} | {"quad": echoed["quad"]}
     )
     assert {k: rerun[k] for k in echoed} == echoed
+
+
+def test_check_keys_are_the_checker_fields_but_seed():
+    # _run_check passes every check key to CheckerConfig, and the root seed
+    # feeds the one field that is not a key
+    fields = {f.name for f in dataclasses.fields(CheckerConfig)}
+    assert set(cli_runner.CHECK_DEFAULTS) == fields - {"seed"}
 
 
 def test_seed_override_applies_everywhere(tmp_path):
@@ -338,6 +347,10 @@ def test_invalid_configs_raise_config_error(tmp_path):
         ("domain", {"kind": "ball", "center": None, "radius": 1.0}),
         ("domain", {"kind": "ellipsoid", "center": [0.0, 0.0], "semiaxes": 1.5}),
         ("domain", {"kind": "ellipsoid", "center": [0.0, 0.0], "semiaxes": [1.0, 1.0, 1.0]}),
+        # the output section is a mapping whose one key, dir, is a string
+        ("output", "out"),
+        ("output", {"dir": 5}),
+        ("output", {"dri": "x"}),
     ],
 )
 def test_bad_section_values_are_config_errors(tmp_path, section, values):

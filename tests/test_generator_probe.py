@@ -93,16 +93,18 @@ def test_shell_sign_check_reproducible_and_thread_invariant():
 
 
 def test_shell_sign_check_tolerance_override():
+    model = sde_model.rotational()
     result = generator_probe.shell_sign_check(
-        sde_model.rotational(),
+        model,
         unit_ball(),
         eps=0.1,
         s=0.0,
         n_points=10,
         seed=7,
-        tol_shell=0.123,
+        tol_shell_factor=2.0,
     )
-    assert result.tolerance_used == 0.123
+    expected = generator_probe.default_shell_tolerance(model, result.points, 0.0, 0.1, 2.0)
+    assert result.tolerance_used == expected
     with pytest.raises(ValueError):
         generator_probe.shell_sign_check(
             sde_model.rotational(), unit_ball(), eps=0.1, s=0.0, n_points=0, seed=7

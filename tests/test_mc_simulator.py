@@ -128,17 +128,15 @@ def test_contraction_never_exits():
     assert est.n_nonfinite == 0
 
 
-def test_exit_probability_independent_of_blocking_and_threads():
+def test_exit_probability_independent_of_blocking():
     model = sde_model.brownian(2)
     domain = geometry.ball([0.0, 0.0], 1.0)
     kwargs = dict(x0=[0.5, 0.0], T=0.3, dt=0.01, n_paths=300, seed=11)
     base = mc_simulator.exit_probability(model, domain, **kwargs)
     small_blocks = mc_simulator.exit_probability(model, domain, block=7, **kwargs)
-    threaded = mc_simulator.exit_probability(
-        model, domain, block=64, threads=3, **kwargs
-    )
-    assert base.n_exits == small_blocks.n_exits == threaded.n_exits
-    assert base.p_hat == small_blocks.p_hat == threaded.p_hat
+    large_blocks = mc_simulator.exit_probability(model, domain, block=64, **kwargs)
+    assert base.n_exits == small_blocks.n_exits == large_blocks.n_exits
+    assert base.p_hat == small_blocks.p_hat == large_blocks.p_hat
     assert 0 < base.n_exits < 300
 
 
@@ -160,7 +158,7 @@ def test_isolated_path_matches_blocked_rows():
 def test_isolated_exiting_paths_match_kernel_rows():
     """Paths that exit at different steps, on both sides of a window
     boundary, stop at the same step alone as in a block, and their exits add
-    up to the blocked, threaded estimate."""
+    up to the blocked estimate."""
     model = sde_model.brownian(2)
     domain = geometry.ball([0.0, 0.0], 1.0)
     n_paths, T, dt, seed = 30, 0.4, 2.5e-4, 31
@@ -181,7 +179,7 @@ def test_isolated_exiting_paths_match_kernel_rows():
         assert solo.steps_taken == steps[i]
         np.testing.assert_array_equal(solo.final_state, states[i])
     est = mc_simulator.exit_probability(
-        model, domain, [0.5, 0.0], T, dt, n_paths, seed, block=7, threads=2
+        model, domain, [0.5, 0.0], T, dt, n_paths, seed, block=7
     )
     assert est.n_exits == exited.sum()
 

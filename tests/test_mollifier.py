@@ -17,7 +17,7 @@ from viability import generator_probe, geometry, mollifier, sde_model
 # Frozen values of the unit-ball integral of exp(-1/(1-|u|^2)), computed by
 # adaptive radial quadrature (n <= 3) and by the scrambled Sobol volume
 # estimate that normalization_constant uses above 3-D,
-# _unit_bump_integral_qmc(4, 2**16, 1e-3) (n = 4).
+# _unit_bump_integral_qmc(4) (n = 4).
 I1 = 0.4439938161680794
 I2 = 0.46651239317833
 I3 = 0.44108888727660434

@@ -102,7 +102,7 @@ def test_condition3_value_rotational_closed_form():
         model = sde_model.rotational(spin=spin, inward_rate=rho)
         eps = 0.1
         sample = BoundarySample(
-            point=np.array([1.0 + eps, 0.0]), normal=np.array([1.0, 0.0]), offset=eps
+            point=np.array([1.0 + eps, 0.0]), normal=np.array([1.0, 0.0])
         )
         got = theorem_checker.condition3_value(model, unit_ball(), 0.0, sample)
         expected = (1.0 + eps) * (0.5 * spin**2 - rho)
@@ -112,7 +112,7 @@ def test_condition3_value_rotational_closed_form():
 def test_condition3_value_pure_drift():
     model = sde_model.ou_inward(2, rate=1.0)
     sample = BoundarySample(
-        point=np.array([0.0, 1.05]), normal=np.array([0.0, 1.0]), offset=0.05
+        point=np.array([0.0, 1.05]), normal=np.array([0.0, 1.0])
     )
     got = theorem_checker.condition3_value(model, unit_ball(), 0.0, sample)
     assert got == pytest.approx(-1.05, abs=1e-14)
@@ -121,7 +121,7 @@ def test_condition3_value_pure_drift():
 def test_condition3_value_zero_model():
     model = sde_model.zero(2)
     sample = BoundarySample(
-        point=np.array([1.1, 0.0]), normal=np.array([1.0, 0.0]), offset=0.1
+        point=np.array([1.1, 0.0]), normal=np.array([1.0, 0.0])
     )
     assert theorem_checker.condition3_value(model, unit_ball(), 0.0, sample) == 0.0
 
@@ -269,7 +269,7 @@ child_seed = theorem_checker.child_seed
 def _reproject(domain, eps, x):
     foot, _ = geometry.project_to_boundary(domain, x)
     nu = geometry.outward_normal(domain, foot)
-    return BoundarySample(point=foot + eps * nu, normal=nu, offset=eps)
+    return BoundarySample(point=foot + eps * nu, normal=nu)
 
 
 def _refine_sup(domain, eps, samples, objective, values):
