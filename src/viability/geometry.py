@@ -87,8 +87,11 @@ def _row_norm(u: np.ndarray) -> np.ndarray:
     The square root of a stacked matmul of each row with itself takes the
     row's dot product alone, as np.linalg.norm does for one point, so a row
     gets the bits of that point. np.linalg.norm(U, axis=1) reduces the
-    squares without that dot and can differ in the last bit.
+    squares without that dot and can differ in the last bit. The rows are
+    made contiguous first, because matmul over the rows of a Fortran-ordered
+    batch gives other bits from 4-D up.
     """
+    u = np.ascontiguousarray(u)
     return np.sqrt((u[..., None, :] @ u[..., :, None])[..., 0, 0])
 
 

@@ -10,7 +10,8 @@ one block loop, _simulate_block, and a path simulated alone is a block of one,
 so it matches the same path inside any batch bit for bit by construction.
 exit_probability and final_states cut their paths into spans and run them on
 every CPU in the process's affinity mask: the caller simulates the first
-share of spans and forked children the rest (_simulate_spans). Estimates are
+share of spans and forked children the rest (_simulate_spans, through
+sharding.run_shares, which the shell probe shares). Estimates are
 bit-identical for any block size and any CPU count, and any single path can
 be replayed in isolation.
 """
@@ -22,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import sharding
 from .errors import ImmediateExit, NonFinite
 from .geometry import ImplicitDomain, signed_level
 from .sde_model import SdeModel
@@ -63,7 +65,7 @@ def wilson_interval(k: int, n: int) -> tuple[float, float]:
     half = z * np.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
     lo = max(0.0, center - half)
     hi = min(1.0, center + half)
-    return min(lo, p), max(hi, p)
+    return float(min(lo, p)), float(max(hi, p))
 
 
 def em_step(model: SdeModel, t: float, x, dt: float, dW) -> np.ndarray:
@@ -182,33 +184,20 @@ def _simulate_block(model, domain, starts, T, dt, seed, first_index):
 def _simulate_spans(model, domain, starts, T, dt, seed, block):
     """_simulate_block over every row of starts, on every CPU the process may use.
 
-    With w = len(os.sched_getaffinity(0)), the rows are cut into spans of
+    With w = sharding.cpu_count(), the rows are cut into spans of
     min(block, ceil(m / w)) paths and the spans into at most w contiguous
-    shares. The caller simulates the first share itself and forks one child
-    per later share, which pickles its per-path arrays back through a pipe.
-    Row i keeps path index i wherever it runs, so the result is bit-identical
-    for any w; no rows give empty arrays and fork nothing. block must be at
-    least 1. Every child is reaped before this returns or raises, and an
-    exception raised in a child is raised again here. Children are forked
-    only where os.fork and os.sched_getaffinity exist (Linux); elsewhere, or
-    with one span, everything runs in the caller. The children are forked,
-    not spawned, because a model's coefficients are closures that pickle
-    cannot send to a fresh interpreter. Python 3.12 and later warn
-    (DeprecationWarning) when fork() is called in a process that runs other
-    threads.
+    shares, which sharding.run_shares simulates: the caller the first share,
+    one forked child each later share. Row i keeps path index i wherever it
+    runs, so the result is bit-identical for any w; no rows give empty
+    arrays and fork nothing. block must be at least 1.
     """
-    import os
-    import pickle
-    import signal
-
     if block < 1:
         raise ValueError("block must be >= 1")
     m = starts.shape[0]
     if not m:  # nothing to simulate and nothing to fork
         _n_steps(T, dt)
         return [starts.copy(), np.zeros(0, int), np.zeros(0, bool), np.zeros(0, bool)]
-    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    cpus = len(os.sched_getaffinity(0)) if can_fork else 1
+    cpus = sharding.cpu_count()
     span = min(block, -(-m // cpus))
     spans = [(a, min(a + span, m)) for a in range(0, m, span)]
     k = min(cpus, len(spans))
@@ -228,46 +217,7 @@ def _simulate_spans(model, domain, starts, T, dt, seed, block):
     # page-faulted mappings: 100 probe points on the 3-D unit ball took
     # 0.29-0.50 s (37,700 page faults) in a fresh process and 0.22-0.32 s
     # (680 faults) after one 12 MB array was allocated and freed.
-    children = []  # (pid, read end of its pipe)
-    try:
-        for share in shares[1:]:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:  # the child never returns from this branch
-                try:
-                    os.close(r)
-                    try:
-                        message = pickle.dumps((True, run(share)))
-                    except BaseException as exc:  # sent to the caller to raise
-                        try:
-                            message = pickle.dumps((False, exc))
-                        except Exception:  # an exception pickle cannot carry
-                            message = pickle.dumps((False, RuntimeError(repr(exc))))
-                    with os.fdopen(w, "wb") as fh:
-                        fh.write(message)
-                finally:
-                    os._exit(0)
-            os.close(w)
-            children.append((pid, os.fdopen(r, "rb")))
-        results = [run(shares[0])]
-        for pid, fh in children:
-            try:
-                ok, value = pickle.load(fh)
-            except EOFError:
-                raise RuntimeError(f"simulation child {pid} sent no result") from None
-            if not ok:
-                raise value
-            results.append(value)
-    finally:
-        for pid, fh in children:
-            fh.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    results = sharding.run_shares(run, shares)
     return [np.concatenate(arrays) for arrays in zip(*results)]
 
 

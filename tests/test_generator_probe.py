@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import _assert_no_child_left, _on_cpus, forking
 from viability import generator_probe, geometry, mollifier, sde_model
 from viability.errors import ImmediateExit
 
@@ -90,6 +91,73 @@ def test_shell_sign_check_reproducible_and_thread_invariant():
     np.testing.assert_array_equal(a.values, b.values)
     np.testing.assert_array_equal(a.points, b.points)
     assert a.min_value == b.min_value
+
+
+def _probe_3d_ball(n_points):
+    return generator_probe.shell_sign_check(
+        sde_model.brownian(3), geometry.ball([0.0, 0.0, 0.0], 1.0),
+        eps=0.1, s=0.0, n_points=n_points, seed=11, nodes_per_axis=12,
+    )
+
+
+@forking
+def test_split_probe_is_bit_identical_for_any_cpu_count(monkeypatch):
+    """1, 2 or 3 CPUs give the same probe of the 3-D ball, bit for bit."""
+    results = []
+    for w in (1, 2, 3):
+        forks = _on_cpus(monkeypatch, w)
+        results.append(_probe_3d_ball(3 * generator_probe.MIN_POINTS_PER_SHARE))
+        assert len(forks) == w - 1
+        _assert_no_child_left()
+    first = results[0]
+    assert not first.passed  # Brownian motion leaves the ball
+    for other in results[1:]:
+        assert other.values.tobytes() == first.values.tobytes()
+        assert other.points.tobytes() == first.points.tobytes()
+        assert other.min_value == first.min_value
+        assert other.passed == first.passed
+
+
+class GeneratorFailure(Exception):
+    pass
+
+
+@forking
+@pytest.mark.parametrize("failing_point", ["caller", "child"])
+def test_failing_probe_share_raises_in_caller_and_leaves_no_child(
+    monkeypatch, failing_point
+):
+    """apply_generator raising in the caller's share or in a child's share
+    raises the same exception type in the caller, and every child is reaped."""
+    n_points = 2 * generator_probe.MIN_POINTS_PER_SHARE
+    points = _probe_3d_ball(n_points).points
+    bad = points[0] if failing_point == "caller" else points[-1]
+    real = generator_probe.apply_generator
+
+    def apply_generator(model, ind, s, x):
+        if np.array_equal(x, bad):
+            raise GeneratorFailure("refused a probe point")
+        return real(model, ind, s, x)
+
+    monkeypatch.setattr(generator_probe, "apply_generator", apply_generator)
+    forks = _on_cpus(monkeypatch, 2)
+    with pytest.raises(GeneratorFailure, match="refused"):
+        _probe_3d_ball(n_points)
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+@forking
+def test_small_probe_forks_nothing(monkeypatch):
+    """Under two shares' worth of points the probe runs in the caller alone."""
+    forks = _on_cpus(monkeypatch, 4)
+    result = generator_probe.shell_sign_check(
+        sde_model.rotational(), unit_ball(), eps=0.1, s=0.0,
+        n_points=2 * generator_probe.MIN_POINTS_PER_SHARE - 1, seed=9,
+        nodes_per_axis=8,
+    )
+    assert result.values.shape == (2 * generator_probe.MIN_POINTS_PER_SHARE - 1,)
+    assert not forks
 
 
 def test_shell_sign_check_tolerance_override():

@@ -107,7 +107,15 @@ def _parent_ball_projection(domain, x):
 
 
 @pytest.mark.parametrize(
-    "center,radius", [([0.3], 0.8), ([0.3, -0.7], 1.3), ([0.1, -0.2, 0.45], 0.9)]
+    "center,radius",
+    [
+        ([0.3], 0.8),
+        ([0.3, -0.7], 1.3),
+        ([0.1, -0.2, 0.45], 0.9),
+        ([0.1, -0.2, 0.45, 0.3], 1.1),
+        ([0.1, -0.2, 0.45, 0.3, -0.6], 0.7),
+        ([0.1, -0.2, 0.45, 0.3, -0.6, 0.05], 1.4),
+    ],
 )
 def test_ball_projection_matches_the_closed_form_bit_for_bit(center, radius):
     domain = geometry.ball(center, radius)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import _assert_no_child_left, _on_cpus, forking
 from viability import geometry, mc_simulator, sde_model, seeds
 from viability.errors import ImmediateExit, NonFinite
 
@@ -30,6 +31,12 @@ def test_wilson_interval_contains_point_estimate(n, data):
     lo, hi = mc_simulator.wilson_interval(k, n)
     p = k / n
     assert 0.0 <= lo <= p <= hi <= 1.0
+
+
+@pytest.mark.parametrize("k,n", [(0, 2000), (5, 100), (100, 100)])
+def test_wilson_interval_ends_are_floats(k, n):
+    """Both ends are Python floats, whether clipped to 0 or 1 or not."""
+    assert [type(end) for end in mc_simulator.wilson_interval(k, n)] == [float, float]
 
 
 def test_wilson_interval_mirror_symmetry():
@@ -207,38 +214,12 @@ def test_span_generator_draws_what_path_generator_draws(monkeypatch):
         assert drawn[i].tobytes() == ref.tobytes()
 
 
-forking = pytest.mark.skipif(
-    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
-    reason="paths are sharded only where os.fork and os.sched_getaffinity exist",
-)
-
-
-def _on_cpus(monkeypatch, w):
-    """Report w CPUs to the simulator; return the list of forked child pids."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(w)))
-    forks, real_fork = [], os.fork
-
-    def counting_fork():
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return forks
-
-
 def _leaky_model():
     """Brownian motion whose drift sends a coordinate below -0.9 to infinity,
     so some paths exit the unit disk, some overflow and the rest survive."""
     return dataclasses.replace(
         sde_model.brownian(2), drift=lambda t, x: np.where(x < -0.9, np.inf, 0.0)
     )
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @forking
