@@ -3,14 +3,13 @@
 The infinitesimal generator A = a . grad + 1/2 sum sigma_ij d^2/dx_i dx_j is
 applied to the smoothed indicator eta_eps. On the shell between K_eps and
 K_3eps the sign of A eta_eps is what separates inward-pressing dynamics from
-escaping ones, and the shell probe samples it directly. Each probe point's
-value depends on that point alone, so the probe evaluates its points in
-contiguous shares on every CPU of the process's affinity mask
-(sharding.run_shares, as the simulator does with its paths), once each share
-has at least MIN_POINTS_PER_SHARE points; the values are bit-identical for
-any CPU count. Two expectation-level
-checks accompany it: the time monotonicity of E eta_eps along simulated paths,
-and the sign and eps-decay of E eta_eps(cloud) minus the in-domain fraction.
+escaping ones, and the shell probe samples it directly. A point's value
+depends on that point alone, so the probe evaluates its points in contiguous
+shares, one per CPU but none under MIN_POINTS_PER_SHARE points
+(sharding.run_shares), with the same bits on any CPU count. Two
+expectation-level checks accompany it: the time monotonicity of E eta_eps
+along simulated paths, and the sign and eps-decay of E eta_eps(cloud) minus
+the in-domain fraction.
 """
 
 from __future__ import annotations
@@ -102,9 +101,7 @@ def shell_sign_check(
     Probe points combine area-weighted boundary directions with distances
     drawn uniformly from (eps, 3 eps), so every point carries the shell region
     tag. The tolerance is default_shell_tolerance scaled by tol_shell_factor.
-    The points are evaluated in up to one share per CPU (see the module
-    docstring), and the result is bit-identical for a fixed seed on any
-    CPU count.
+    The result is bit-identical for a fixed seed on any CPU count.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
