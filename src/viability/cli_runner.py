@@ -3,10 +3,10 @@
 One JSON configuration file declares the model, the domain, and the parameter
 groups for the checker, the shell probe, and the simulator. The report echoes
 the fully resolved configuration, so a report alone suffices to reproduce the
-run. The check and the probe run in the calling thread, the simulator on
-every CPU of the process's affinity mask with the same outputs for any count;
-`--threads` is still accepted and has no effect, so it is absent from the
-echo and reports do not depend on it (the timestamp field aside).
+run. The check runs in the calling process, the probe and the simulator on
+every CPU of the affinity mask (see sharding) with the same outputs for any
+count; `--threads` is still accepted and has no effect, so it is absent
+from the echo and reports do not depend on it (the timestamp field aside).
 
 Exit codes: 0 when the requested checks pass (for `full`, invariance is both
 predicted and observed), 1 on a definite failure, 2 when inconclusive, 3 on a

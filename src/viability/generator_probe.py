@@ -4,12 +4,11 @@ The infinitesimal generator A = a . grad + 1/2 sum sigma_ij d^2/dx_i dx_j is
 applied to the smoothed indicator eta_eps. On the shell between K_eps and
 K_3eps the sign of A eta_eps is what separates inward-pressing dynamics from
 escaping ones, and the shell probe samples it directly. A point's value
-depends on that point alone, so the probe evaluates its points in contiguous
-shares, one per CPU but none under MIN_POINTS_PER_SHARE points
-(sharding.run_shares), with the same bits on any CPU count. Two
-expectation-level checks accompany it: the time monotonicity of E eta_eps
-along simulated paths, and the sign and eps-decay of E eta_eps(cloud) minus
-the in-domain fraction.
+depends on that point alone, so the probe splits its points over the CPUs,
+none under MIN_POINTS_PER_SHARE a range (sharding.split_rows), with the same
+bits on any CPU count. Two expectation-level checks accompany it: the time
+monotonicity of E eta_eps along simulated paths, and the sign and eps-decay
+of E eta_eps(cloud) minus the in-domain fraction.
 """
 
 from __future__ import annotations
@@ -121,12 +120,10 @@ def shell_sign_check(
         domain, eps, nodes_per_axis=nodes_per_axis, qmc_points=qmc_points
     )
 
-    def run(share):
-        return np.array([apply_generator(model, ind, s, p) for p in share])
+    def run(a, b):
+        return [np.array([apply_generator(model, ind, s, p) for p in points[a:b]])]
 
-    k = max(1, min(sharding.cpu_count(), n_points // MIN_POINTS_PER_SHARE))
-    shares = [points[j * n_points // k : (j + 1) * n_points // k] for j in range(k)]
-    values = np.concatenate(sharding.run_shares(run, shares))
+    (values,) = sharding.split_rows(run, n_points, MIN_POINTS_PER_SHARE)
 
     tol = default_shell_tolerance(model, points, s, eps, tol_shell_factor)
     min_value = float(values.min())
@@ -146,8 +143,9 @@ def shell_sign_check(
 def sample_initial_cloud(
     domain: ImplicitDomain, cloud_cfg: dict | None, count: int, seed: int
 ) -> np.ndarray:
-    """Start points inside K: a fixed point, an explicit list, or a uniform
-    ball (default: radius half the inner radius around the center)."""
+    """count start points inside K, as a (count, n) array: a fixed point, an
+    explicit list of count points, or a uniform ball (default: radius half the
+    inner radius around the center). Any other shape raises ValueError."""
     cfg = cloud_cfg or {}
     kind = cfg.get("kind", "uniform_ball")
     if kind == "point":
@@ -161,7 +159,7 @@ def sample_initial_cloud(
         )
         radius = float(cfg.get("radius", 0.5 * domain.inner_radius))
         rng = generator(seed, 2)
-        n = domain.dimension
+        n = center.size  # a center of another dimension is refused below
 
         def draw():
             cand = rng.uniform(-radius, radius, size=(256, n))
@@ -170,6 +168,11 @@ def sample_initial_cloud(
         pts = center + geometry.rejection_fill(count, n, draw)
     else:
         raise ValueError(f"unknown initial cloud kind: {kind!r}")
+    if pts.shape != (count, domain.dimension):
+        raise ValueError(
+            f"initial cloud {kind!r} has shape {pts.shape}, "
+            f"need ({count}, {domain.dimension})"
+        )
     levels = np.asarray(domain.level_fn(pts))
     if np.any(levels > 0.0):
         raise ImmediateExit("initial cloud is not fully inside the domain")

@@ -8,12 +8,10 @@ Philox keys of all its paths in one vectorised hash (seeds.path_keys), and a
 model with no noise channels draws no increments at all. Every time step runs in
 one block loop, _simulate_block, and a path simulated alone is a block of one,
 so it matches the same path inside any batch bit for bit by construction.
-exit_probability and final_states cut their paths into spans and run them on
-every CPU in the process's affinity mask: the caller simulates the first
-share of spans and forked children the rest (_simulate_spans, through
-sharding.run_shares, which the shell probe shares). Estimates are
-bit-identical for any block size and any CPU count, and any single path can
-be replayed in isolation.
+exit_probability and final_states run their paths on every CPU in the
+process's affinity mask through sharding.split_rows (_simulate_rows).
+Estimates are bit-identical for any CPU count, and any single path can be
+replayed in isolation.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from .sde_model import SdeModel
 from .seeds import path_generator, path_keys
 
 WINDOW = 1024  # steps per increment draw; fixed so stream layout never varies
-DEFAULT_BLOCK = 2048  # paths simulated per vectorized block
+BLOCK = 2048  # paths simulated per vectorized block
 Z95 = 1.959963984540054
 
 
@@ -92,6 +90,9 @@ def _em_update(model, t, x, dt, dW):
 
 
 def _n_steps(T: float, dt: float) -> int:
+    """round(T / dt) steps, at least 1. round takes halves to even, so the
+    horizon round(T / dt) * dt need not be T: T = 0.25, dt = 0.004 runs 62
+    steps, to 0.248."""
     if dt <= 0.0 or T <= 0.0 or dt > T:
         raise ValueError(f"need 0 < dt <= T, got dt={dt} and T={T}")
     return max(1, int(round(T / dt)))
@@ -181,44 +182,26 @@ def _simulate_block(model, domain, starts, T, dt, seed, first_index):
     return states, steps, exited, nonfinite
 
 
-def _simulate_spans(model, domain, starts, T, dt, seed, block):
+def _simulate_rows(model, domain, starts, T, dt, seed):
     """_simulate_block over every row of starts, on every CPU the process may use.
 
-    With w = sharding.cpu_count(), the rows are cut into spans of
-    min(block, ceil(m / w)) paths and the spans into at most w contiguous
-    shares, which sharding.run_shares simulates: the caller the first share,
-    one forked child each later share. Row i keeps path index i wherever it
-    runs, so the result is bit-identical for any w; no rows give empty
-    arrays and fork nothing. block must be at least 1.
+    sharding.split_rows cuts the rows into ranges, and each range runs
+    _simulate_block over blocks of at most BLOCK paths. Row i keeps path
+    index i wherever it runs, so the result is bit-identical for any CPU
+    count; no rows give empty arrays, call no model and fork nothing.
     """
-    if block < 1:
-        raise ValueError("block must be >= 1")
-    m = starts.shape[0]
-    if not m:  # nothing to simulate and nothing to fork
+    if not len(starts):  # nothing to simulate and nothing to fork
         _n_steps(T, dt)
         return [starts.copy(), np.zeros(0, int), np.zeros(0, bool), np.zeros(0, bool)]
-    cpus = sharding.cpu_count()
-    span = min(block, -(-m // cpus))
-    spans = [(a, min(a + span, m)) for a in range(0, m, span)]
-    k = min(cpus, len(spans))
-    shares = [spans[j * len(spans) // k : (j + 1) * len(spans) // k] for j in range(k)]
 
-    def run(share):
+    def run(a, b):
         parts = [
-            _simulate_block(model, domain, starts[a:b], T, dt, seed, a)
-            for a, b in share
+            _simulate_block(model, domain, starts[c : min(c + BLOCK, b)], T, dt, seed, c)
+            for c in range(a, b, BLOCK)
         ]
         return [np.concatenate(arrays) for arrays in zip(*parts)]
 
-    # The caller simulates the first share itself instead of leaving every
-    # span to children. Freeing its 12 MB windows raises glibc's dynamic mmap
-    # threshold (and the trim threshold with it), so the 100-400 KB
-    # temporaries of later stages come from the heap instead of fresh,
-    # page-faulted mappings: 100 probe points on the 3-D unit ball took
-    # 0.29-0.50 s (37,700 page faults) in a fresh process and 0.22-0.32 s
-    # (680 faults) after one 12 MB array was allocated and freed.
-    results = sharding.run_shares(run, shares)
-    return [np.concatenate(arrays) for arrays in zip(*results)]
+    return sharding.split_rows(run, len(starts))
 
 
 def simulate_path(
@@ -258,22 +241,22 @@ def exit_probability(
     dt: float,
     n_paths: int,
     seed: int,
-    block: int = DEFAULT_BLOCK,
 ) -> ExitEstimate:
     """Fraction of paths that leave the domain by the horizon, with a Wilson CI.
 
     Per-path streams are keyed by (seed, path index), so the estimate is
-    bit-identical for any block size and any CPU count (see _simulate_spans).
-    Paths that overflow are counted in n_nonfinite and excluded from the exit
-    count.
+    bit-identical for any CPU count (see _simulate_rows). Paths run
+    _n_steps(T, dt) steps, to the horizon round(T / dt) * dt, while the
+    estimate reports T as given. Paths that overflow are counted in
+    n_nonfinite and excluded from the exit count.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     x0 = np.asarray(x0, dtype=float)
     if signed_level(domain, x0) > 0.0:
         raise ImmediateExit(f"start point {x0!r} lies outside the domain")
-    _, _, exited, nonfinite = _simulate_spans(
-        model, domain, np.tile(x0, (n_paths, 1)), T, dt, seed, block
+    _, _, exited, nonfinite = _simulate_rows(
+        model, domain, np.tile(x0, (n_paths, 1)), T, dt, seed
     )
     exits = int(exited.sum())
     lo, hi = wilson_interval(exits, n_paths)
@@ -296,14 +279,13 @@ def final_states(
     T: float,
     dt: float,
     seed: int,
-    block: int = DEFAULT_BLOCK,
 ) -> np.ndarray:
     """States at the horizon for a batch of start points, without exit stops.
 
-    Row i uses the stream keyed by (seed, i), on any CPU (see _simulate_spans).
+    Row i uses the stream keyed by (seed, i), on any CPU (see _simulate_rows).
     """
     starts = np.asarray(starts, dtype=float)
-    finals, _, _, nonfinite = _simulate_spans(model, None, starts, T, dt, seed, block)
+    finals, _, _, nonfinite = _simulate_rows(model, None, starts, T, dt, seed)
     if nonfinite.any():
         raise NonFinite("a path overflowed before the horizon")
     return finals
@@ -317,7 +299,6 @@ def dt_convergence_study(
     dt_list: Sequence[float],
     n_paths: int,
     seed: int,
-    block: int = DEFAULT_BLOCK,
 ) -> list[ExitEstimate]:
     """exit_probability at each dt in a decreasing list, common path count.
 
@@ -326,6 +307,6 @@ def dt_convergence_study(
     """
     arr = _check_dt_list(T, dt_list)
     return [
-        exit_probability(model, domain, x0, T, float(dt), n_paths, seed, block)
+        exit_probability(model, domain, x0, T, float(dt), n_paths, seed)
         for dt in arr
     ]

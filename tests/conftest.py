@@ -1,4 +1,4 @@
-"""Helpers shared by the tests of the code that forks (sharding.run_shares)."""
+"""Helpers shared by the tests of the code that forks (sharding.split_rows)."""
 
 import os
 

@@ -203,6 +203,21 @@ def test_sample_initial_cloud_points_kind():
         )
 
 
+@pytest.mark.parametrize(
+    "cloud",
+    [
+        {"kind": "points", "points": [[0.1, 0.0]]},
+        {"kind": "points", "points": [0.1, 0.0]},
+        {"kind": "point", "x": [0.1, 0.0, 0.0]},
+        {"kind": "uniform_ball", "center": [0.0, 0.0, 0.0], "radius": 0.1},
+    ],
+)
+def test_sample_initial_cloud_of_another_shape_is_refused(cloud):
+    """A cloud that is not (count, n) raises ValueError naming its kind."""
+    with pytest.raises(ValueError, match=repr(cloud["kind"])):
+        generator_probe.sample_initial_cloud(unit_ball(), cloud, 5, seed=1)
+
+
 def test_sample_initial_cloud_uniform_ball_default():
     pts = generator_probe.sample_initial_cloud(unit_ball(), None, 200, seed=4)
     assert pts.shape == (200, 2)

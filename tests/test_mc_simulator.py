@@ -135,13 +135,15 @@ def test_contraction_never_exits():
     assert est.n_nonfinite == 0
 
 
-def test_exit_probability_independent_of_blocking():
+def test_exit_probability_independent_of_blocking(monkeypatch):
     model = sde_model.brownian(2)
     domain = geometry.ball([0.0, 0.0], 1.0)
     kwargs = dict(x0=[0.5, 0.0], T=0.3, dt=0.01, n_paths=300, seed=11)
     base = mc_simulator.exit_probability(model, domain, **kwargs)
-    small_blocks = mc_simulator.exit_probability(model, domain, block=7, **kwargs)
-    large_blocks = mc_simulator.exit_probability(model, domain, block=64, **kwargs)
+    monkeypatch.setattr(mc_simulator, "BLOCK", 7)
+    small_blocks = mc_simulator.exit_probability(model, domain, **kwargs)
+    monkeypatch.setattr(mc_simulator, "BLOCK", 64)
+    large_blocks = mc_simulator.exit_probability(model, domain, **kwargs)
     assert base.n_exits == small_blocks.n_exits == large_blocks.n_exits
     assert base.p_hat == small_blocks.p_hat == large_blocks.p_hat
     assert 0 < base.n_exits < 300
@@ -162,7 +164,7 @@ def test_isolated_path_matches_blocked_rows():
             np.testing.assert_array_equal(solo.final_state, finals[i])
 
 
-def test_isolated_exiting_paths_match_kernel_rows():
+def test_isolated_exiting_paths_match_kernel_rows(monkeypatch):
     """Paths that exit at different steps, on both sides of a window
     boundary, stop at the same step alone as in a block, and their exits add
     up to the blocked estimate."""
@@ -185,9 +187,8 @@ def test_isolated_exiting_paths_match_kernel_rows():
         assert solo.exited == exited[i]
         assert solo.steps_taken == steps[i]
         np.testing.assert_array_equal(solo.final_state, states[i])
-    est = mc_simulator.exit_probability(
-        model, domain, [0.5, 0.0], T, dt, n_paths, seed, block=7
-    )
+    monkeypatch.setattr(mc_simulator, "BLOCK", 7)
+    est = mc_simulator.exit_probability(model, domain, [0.5, 0.0], T, dt, n_paths, seed)
     assert est.n_exits == exited.sum()
 
 
@@ -223,12 +224,13 @@ def _leaky_model():
 
 
 @forking
-@pytest.mark.parametrize("block", [mc_simulator.DEFAULT_BLOCK, 7])
+@pytest.mark.parametrize("block", [mc_simulator.BLOCK, 7])
 def test_sharded_paths_are_bit_identical_for_any_cpu_count(monkeypatch, block):
     """1, 2 or 3 CPUs give the same per-path outcomes and estimates: a horizon
     over WINDOW steps (states saved across windows), exits on both sides of a
     window boundary, overflowing paths, and a path count that is not a
-    multiple of the span."""
+    multiple of the block or of the CPU count."""
+    monkeypatch.setattr(mc_simulator, "BLOCK", block)
     model, domain = _leaky_model(), geometry.ball([0.0, 0.0], 1.0)
     n_paths, T, dt, seed = 31, 0.4, 2.5e-4, 31
     starts = np.tile([0.5, 0.0], (n_paths, 1))
@@ -237,12 +239,10 @@ def test_sharded_paths_are_bit_identical_for_any_cpu_count(monkeypatch, block):
         forks = _on_cpus(monkeypatch, w)
         with np.errstate(invalid="ignore"):
             outcomes.append(
-                mc_simulator._simulate_spans(model, domain, starts, T, dt, seed, block)
+                mc_simulator._simulate_rows(model, domain, starts, T, dt, seed)
             )
             estimates.append(
-                mc_simulator.exit_probability(
-                    model, domain, [0.5, 0.0], T, dt, n_paths, seed, block
-                )
+                mc_simulator.exit_probability(model, domain, [0.5, 0.0], T, dt, n_paths, seed)
             )
         assert len(forks) == 2 * (w - 1)
         _assert_no_child_left()
@@ -491,32 +491,34 @@ def _refuse_keys(seed, indices):
 
 def test_noise_free_model_derives_no_keys_and_draws_nothing(monkeypatch):
     """ou_inward has no noise channels: over a horizon longer than WINDOW
-    steps, no span derives keys, and each final state is the plain drift
+    steps, no block derives keys, and each final state is the plain drift
     loop's, with an empty increment at every step."""
     monkeypatch.setattr(mc_simulator, "path_keys", _refuse_keys)
+    monkeypatch.setattr(mc_simulator, "BLOCK", 4)
     model, domain = sde_model.ou_inward(2), geometry.ball([0.0, 0.0], 1.0)
     dt = 2.0**-10
     n_steps = mc_simulator.WINDOW + 37
     est = mc_simulator.exit_probability(
-        model, domain, [0.5, 0.0], n_steps * dt, dt, n_paths=9, seed=3, block=4
+        model, domain, [0.5, 0.0], n_steps * dt, dt, n_paths=9, seed=3
     )
     assert est.n_exits == 0 and est.n_nonfinite == 0
     starts = np.random.default_rng(7).uniform(-1.0, 1.0, size=(9, 2))
-    finals = mc_simulator.final_states(model, starts, n_steps * dt, dt, seed=3, block=4)
+    finals = mc_simulator.final_states(model, starts, n_steps * dt, dt, seed=3)
     x = starts
     for s in range(n_steps):
         x = mc_simulator._em_update(model, s * dt, x, dt, np.empty((9, 0)))
     assert finals.tobytes() == x.tobytes()
 
 
-def test_later_spans_draw_what_path_generator_draws():
-    """With spans of 3 paths, the spans starting at paths 3 and 6 key each
+def test_later_spans_draw_what_path_generator_draws(monkeypatch):
+    """With blocks of 3 paths, the blocks starting at paths 3 and 6 key each
     row from path_generator(seed, row), over two windows."""
+    monkeypatch.setattr(mc_simulator, "BLOCK", 3)
     model, seed = _affine_model(), 13
     dt = 2.0**-10
     W, extra = mc_simulator.WINDOW, 37
     starts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(7, 2))
-    finals = mc_simulator.final_states(model, starts, (W + extra) * dt, dt, seed, block=3)
+    finals = mc_simulator.final_states(model, starts, (W + extra) * dt, dt, seed)
     for i in range(7):
         gen = seeds.path_generator(seed, i)
         dW = np.concatenate([gen.standard_normal((W, 2)), gen.standard_normal((extra, 2))])
@@ -527,22 +529,17 @@ def test_later_spans_draw_what_path_generator_draws():
         assert finals[i].tobytes() == x[0].tobytes()
 
 
+def _refuse_call(t, x):
+    raise AssertionError("a model was called with no start points")
+
+
 def test_no_start_points_give_no_final_states(monkeypatch):
+    """No rows fork nothing and call no model coefficient."""
+    model = dataclasses.replace(
+        sde_model.brownian(2), drift=_refuse_call, diffusion=_refuse_call
+    )
     forks = _on_cpus(monkeypatch, 2) if hasattr(os, "sched_getaffinity") else []
-    finals = mc_simulator.final_states(sde_model.brownian(2), np.zeros((0, 2)), 1.0, 0.1, 1)
+    finals = mc_simulator.final_states(model, np.zeros((0, 2)), 1.0, 0.1, 1)
     assert finals.shape == (0, 2)
     assert not forks
 
-
-def test_block_below_one_is_refused():
-    model, domain = sde_model.brownian(2), geometry.ball([0.0, 0.0], 1.0)
-    with pytest.raises(ValueError, match="block must be >= 1"):
-        mc_simulator.exit_probability(model, domain, [0.0, 0.0], 1.0, 0.1, 10, 1, block=0)
-    with pytest.raises(ValueError, match="block must be >= 1"):
-        mc_simulator.final_states(model, np.zeros((3, 2)), 1.0, 0.1, 1, block=0)
-    with pytest.raises(ValueError, match="block must be >= 1"):
-        mc_simulator.final_states(model, np.zeros((0, 2)), 1.0, 0.1, 1, block=0)
-    with pytest.raises(ValueError, match="block must be >= 1"):
-        mc_simulator.dt_convergence_study(
-            model, domain, [0.0, 0.0], 1.0, [0.1, 0.05], 10, 1, block=-1
-        )
