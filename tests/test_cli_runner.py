@@ -400,3 +400,52 @@ def test_quad_qmc_points_reaches_the_probe(tmp_path):
     with pytest.raises(ConfigError):
         cli_runner.resolve_config(cfg | {"quad": {"qmc_points": 0}})
 
+
+
+BALL_2D = {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}
+BROWNIAN_1D = {
+    "model": {"family": "brownian", "dimension": 1},
+    "domain": {"kind": "ball", "center": [0.0], "radius": 1.0},
+    "check": {"samples_per_eps": 10},
+}
+# outward drift, no noise: condition 2 holds, condition 3 fails
+EXPANSION = {"model": {"family": "linear", "A": [[1.0, 0.0], [0.0, 1.0]]}, "domain": BALL_2D}
+# no drift, no noise: condition 3 sits at zero, within no margin
+FROZEN = {"model": {"family": "linear", "A": [[0.0, 0.0], [0.0, 0.0]]}, "domain": BALL_2D}
+ROTATIONAL = {
+    "model": {"family": "rotational", "spin": 1.0, "inward_rate": 1.0},
+    "domain": BALL_2D,
+}
+
+
+@pytest.mark.parametrize(
+    "cfg,subcommand,code,verdict",
+    [
+        # condition 2 fails and condition 3 is undecided: check refutes,
+        # while full is inconclusive whatever the simulator sees
+        pytest.param(BROWNIAN_1D, "check", 1, "not_predicted", id="brownian-check"),
+        pytest.param(BROWNIAN_1D, "full", 2, "inconclusive", id="brownian-full"),
+        pytest.param(EXPANSION | {"sim": {"T": 0.1}}, "full", 1, "not_predicted_observed",
+                     id="expansion-from-center-full"),
+        pytest.param(EXPANSION | {"sim": {"x0": [0.5, 0.0], "T": 1.0}}, "full", 1,
+                     "not_predicted_not_observed", id="expansion-off-center-full"),
+        pytest.param(FROZEN, "check", 2, "inconclusive", id="frozen-check"),
+        pytest.param(FROZEN, "full", 2, "inconclusive", id="frozen-full"),
+        # Euler steps of 0.05 from 0.95 overshoot the boundary on some paths
+        pytest.param(
+            ROTATIONAL | {"sim": {"x0": [0.95, 0.0], "T": 0.5, "dt": 0.05, "n_paths": 50}},
+            "full", 1, "predicted_not_observed", id="rotational-coarse-full",
+        ),
+        # both conditions hold, but the Lipschitz spot check refutes regularity
+        pytest.param(ROTATIONAL | {"check": {"lipschitz_L": 1e-6}}, "check", 1,
+                     "not_predicted", id="rotational-tiny-lipschitz-check"),
+        pytest.param(ROTATIONAL | {"check": {"lipschitz_L": 1e-6}}, "full", 1,
+                     "not_predicted_observed", id="rotational-tiny-lipschitz-full"),
+    ],
+)
+def test_verdicts_by_subcommand(tmp_path, cfg, subcommand, code, verdict):
+    config = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    report, got = cli_runner.run(config, subcommand, out_dir=out)
+    assert (got, report["exit_code"], report["verdict"]) == (code, code, verdict)
+    assert report["files"] == sorted(path.name for path in out.iterdir())
