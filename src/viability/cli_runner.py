@@ -3,14 +3,16 @@
 One JSON configuration file declares the model, the domain, and the parameter
 groups for the checker, the shell probe, and the simulator. The report echoes
 the fully resolved configuration, so a report alone suffices to reproduce the
-run. The check runs in the calling process, the probe and the simulator on
-every CPU of the affinity mask (see sharding) with the same outputs for any
-count; `--threads` is still accepted and has no effect, so it is absent
-from the echo and reports do not depend on it (the timestamp field aside).
+run. The probe and the simulator run on every CPU of the affinity mask (see
+sharding) with the same outputs for any count; `--threads` has no effect and
+is not echoed.
 
-Exit codes: 0 when the requested checks pass (for `full`, invariance is both
-predicted and observed), 1 on a definite failure, 2 when inconclusive, 3 on a
-configuration error, 4 on a runtime numerical error.
+Each stage (check, probe, simulate) returns its report sections, its decision
+(0 supports invariance, 1 refutes it, 2 inconclusive) and its CSV side files.
+A one-stage subcommand exits with its stage's decision, named in VERDICTS.
+`full` reads check and simulate, not the probe: 2 (inconclusive) while either
+condition is undecided, else 0 only when invariance is both predicted and
+observed, 1 otherwise. Exit code 3 is a configuration error, 4 a numerical one.
 """
 
 from __future__ import annotations
@@ -30,14 +32,6 @@ import scipy
 from . import generator_probe, geometry, mc_simulator, mollifier, sde_model, theorem_checker
 from .errors import ConfigError, ViabilityError
 from .theorem_checker import CheckerConfig
-
-SUBCOMMANDS = ("check", "probe", "simulate", "full")
-
-VERDICT_BOTH = "invariance_predicted_and_observed"
-VERDICT_PRED_ONLY = "predicted_not_observed"
-VERDICT_OBS_ONLY = "not_predicted_observed"
-VERDICT_NEITHER = "not_predicted_not_observed"
-VERDICT_INCONCLUSIVE = "inconclusive"
 
 # CheckerConfig holds the checker defaults; the root seed feeds its seed.
 # Tuples are echoed as JSON lists.
@@ -77,10 +71,16 @@ COUNTS = {
     ("quad", "nodes_per_axis"): 4,
     ("quad", "qmc_points"): 1,
 }
+# section -> key -> the range of each real parameter, as a test and its words;
+# sim.T and sim.dt also meet the simulator's own rule, applied in resolve_config
+ANY = (lambda v: True, "a number")
+NONNEGATIVE = (lambda v: v >= 0, ">= 0")
+POSITIVE = (lambda v: v > 0, "positive")
 REALS = {
-    "check": ("delta_abs", "delta_margin", "p_min", "lipschitz_L"),
-    "probe": ("eps", "tol_shell_factor", "time"),
-    "sim": ("T", "dt", "p_max"),
+    "check": {"delta_abs": NONNEGATIVE, "delta_margin": NONNEGATIVE, "p_min": POSITIVE,
+              "lipschitz_L": POSITIVE},
+    "probe": {"eps": POSITIVE, "tol_shell_factor": NONNEGATIVE, "time": ANY},
+    "sim": {"T": ANY, "dt": ANY, "p_max": (lambda v: 0 <= v <= 1, "in [0, 1]")},
 }
 # lists of reals, checked when set; model and domain parameters are reals or
 # nested lists of reals, apart from these counts
@@ -159,11 +159,13 @@ def resolve_config(raw: dict) -> dict:
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         if value < least:
             raise ConfigError(f"{name} must be >= {least}")
-    for section, keys in REALS.items():
-        for key in keys:
+    for section, ranges in REALS.items():
+        for key, (in_range, words) in ranges.items():
             value = cfg[section][key]
             if not _is_number(value):
                 raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
+            if not in_range(value):
+                raise ConfigError(f"{section}.{key} must be {words}, got {value!r}")
     if not isinstance(cfg["output"]["dir"], str):
         raise ConfigError(f"output.dir must be a string, got {cfg['output']['dir']!r}")
     for section, key in REAL_LISTS:
@@ -184,9 +186,6 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError(
             f"model dimension {model.dimension} != domain dimension {domain.dimension}"
         )
-
-    if cfg["probe"]["eps"] <= 0:
-        raise ConfigError("probe.eps must be positive")
 
     sim = cfg["sim"]
     if sim["x0"] is None:
@@ -223,8 +222,58 @@ def _package_version() -> str:
         return "unknown"
 
 
-def _probe_dict(result) -> dict:
-    return {
+def check(model, domain, cfg):
+    """The condition sweep. Every check key is a CheckerConfig field, cast to
+    its default's type. Decides 0 when invariance is predicted, 1 when a
+    condition fails or the regularity spot check refutes, else 2."""
+    cast = {f.name: type(f.default) for f in fields(CheckerConfig)}
+    checker_cfg = CheckerConfig(
+        seed=int(cfg["seed"]), **{k: cast[k](v) for k, v in cfg["check"].items()}
+    )
+    conditions = theorem_checker.theorem1_report(model, domain, checker_cfg)
+    if conditions.invariance_predicted:
+        decision = 0
+    elif (
+        theorem_checker.VERDICT_FAILS in (conditions.cond2_verdict, conditions.cond3_verdict)
+        or (conditions.regularity is not None and not conditions.regularity.passed)
+    ):
+        decision = 1
+    else:
+        decision = 2
+    files = {}
+    if conditions.cond2_sup:
+        files["cond_profile.csv"] = [["eps", "cond2_sup", "cond2_ratio", "cond3_sup"]] + [
+            [repr(float(e)), repr(float(s2)), repr(float(r2)), repr(float(s3))]
+            for e, s2, r2, s3 in zip(
+                conditions.eps_grid,
+                conditions.cond2_sup,
+                conditions.cond2_ratio,
+                conditions.cond3_sup,
+            )
+        ]
+        # zero sups have no logarithm; those cells are left empty
+        files["plot_cond2_loglog.csv"] = [["log10_eps", "log10_cond2_sup"]] + [
+            [repr(float(np.log10(e))), "" if s2 <= 0.0 else repr(float(np.log10(s2)))]
+            for e, s2 in zip(conditions.eps_grid, conditions.cond2_sup)
+        ]
+    return {"conditions": asdict(conditions)}, decision, files
+
+
+def probe(model, domain, cfg):
+    """The shell sign check. Decides 0 when the sign holds on every point, else 1."""
+    settings = cfg["probe"]
+    result = generator_probe.shell_sign_check(
+        model,
+        domain,
+        float(settings["eps"]),
+        float(settings["time"]),
+        int(settings["n_points"]),
+        int(cfg["seed"]),
+        tol_shell_factor=float(settings["tol_shell_factor"]),
+        nodes_per_axis=int(cfg["quad"]["nodes_per_axis"]),
+        qmc_points=int(cfg["quad"]["qmc_points"]),
+    )
+    section = {
         "eps": result.eps,
         "n_points": int(result.points.shape[0]),
         "points": result.points.tolist(),
@@ -236,35 +285,17 @@ def _probe_dict(result) -> dict:
         "passed": result.passed,
         "seed": result.seed,
     }
+    rows = [["distance", "generator_value"]] + [
+        [repr(float(d)), repr(float(v))] for d, v in zip(result.distances, result.values)
+    ]
+    return {"shell_probe": section}, 0 if result.passed else 1, {"plot_shell_profile.csv": rows}
 
 
-def _run_check(model, domain, cfg):
-    """Every check key is a CheckerConfig field, cast to its default's type."""
-    cast = {f.name: type(f.default) for f in fields(CheckerConfig)}
-    checker_cfg = CheckerConfig(
-        seed=int(cfg["seed"]), **{k: cast[k](v) for k, v in cfg["check"].items()}
-    )
-    return theorem_checker.theorem1_report(model, domain, checker_cfg)
-
-
-def _run_probe(model, domain, cfg):
-    probe = cfg["probe"]
-    return generator_probe.shell_sign_check(
-        model,
-        domain,
-        float(probe["eps"]),
-        float(probe["time"]),
-        int(probe["n_points"]),
-        int(cfg["seed"]),
-        tol_shell_factor=float(probe["tol_shell_factor"]),
-        nodes_per_axis=int(cfg["quad"]["nodes_per_axis"]),
-        qmc_points=int(cfg["quad"]["qmc_points"]),
-    )
-
-
-def _run_simulate(model, domain, cfg):
+def simulate(model, domain, cfg):
+    """The exit estimates, one per dt. Decides 0 when the finest dt's exit
+    fraction is at most sim.p_max, else 1."""
     sim = cfg["sim"]
-    return mc_simulator.dt_convergence_study(
+    estimates = mc_simulator.dt_convergence_study(
         model,
         domain,
         sim["x0"],
@@ -273,59 +304,49 @@ def _run_simulate(model, domain, cfg):
         int(sim["n_paths"]),
         int(sim["seed"]),
     )
+    sections = {"exit": asdict(estimates[-1])}
+    if len(estimates) > 1:
+        sections["exit_estimates"] = [asdict(e) for e in estimates]
+    rows = [["dt", "n_paths", "p_hat", "ci_low", "ci_high"]] + [
+        [repr(float(e.dt)), e.n_paths, repr(float(e.p_hat)),
+         repr(float(e.ci_low)), repr(float(e.ci_high))]
+        for e in estimates
+    ]
+    decision = 0 if estimates[-1].p_hat <= float(sim["p_max"]) else 1
+    return sections, decision, {"exit.csv": rows}
 
 
-def _verdict(conditions, estimates, p_max: float) -> str:
-    if conditions is None or estimates is None:
-        return VERDICT_INCONCLUSIVE
-    if (
-        conditions.cond2_verdict == theorem_checker.VERDICT_INCONCLUSIVE
-        or conditions.cond3_verdict == theorem_checker.VERDICT_INCONCLUSIVE
-    ):
-        return VERDICT_INCONCLUSIVE
-    predicted = bool(conditions.invariance_predicted)
-    observed = estimates[-1].p_hat <= p_max
-    if predicted and observed:
-        return VERDICT_BOTH
-    if predicted:
-        return VERDICT_PRED_ONLY
-    if observed:
-        return VERDICT_OBS_ONLY
-    return VERDICT_NEITHER
+# the stages each subcommand runs, in order
+STAGES = {
+    "check": (check,),
+    "probe": (probe,),
+    "simulate": (simulate,),
+    "full": (check, probe, simulate),
+}
+# a single-stage subcommand's verdict, indexed by its stage's decision
+VERDICTS = {
+    "check": ("invariance_predicted", "not_predicted", "inconclusive"),
+    "probe": ("shell_sign_ok", "shell_sign_violated"),
+    "simulate": ("no_exit_observed", "exit_observed"),
+}
+# full's verdict by (predicted, observed) once both conditions are decided
+FULL_VERDICTS = {
+    (True, True): "invariance_predicted_and_observed",
+    (True, False): "predicted_not_observed",
+    (False, True): "not_predicted_observed",
+    (False, False): "not_predicted_not_observed",
+}
 
 
-def _csv_rows(path: Path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def emit_plot_data(report: dict, out_dir) -> list[str]:
-    """Write plot-ready CSV files for the profiles present in a report.
-
-    Zero sups have no logarithm; those cells are left empty. Returns the
-    written file names.
-    """
-    out = Path(out_dir)
-    written = []
-    cond = report.get("conditions")
-    if cond and cond.get("cond2_sup"):
-        rows = []
-        for eps, sup in zip(cond["eps_grid"], cond["cond2_sup"]):
-            log_sup = "" if sup <= 0.0 else repr(float(np.log10(sup)))
-            rows.append([repr(float(np.log10(eps))), log_sup])
-        _csv_rows(out / "plot_cond2_loglog.csv", ["log10_eps", "log10_cond2_sup"], rows)
-        written.append("plot_cond2_loglog.csv")
-    probe = report.get("shell_probe")
-    if probe:
-        rows = [
-            [repr(float(d)), repr(float(v))]
-            for d, v in zip(probe["distances"], probe["values"])
-        ]
-        _csv_rows(out / "plot_shell_profile.csv", ["distance", "generator_value"], rows)
-        written.append("plot_shell_profile.csv")
-    return written
+def _full_verdict(conditions: dict, simulate_decision: int) -> tuple[str, int]:
+    """inconclusive (2) while either condition is undecided, else the
+    (predicted, observed) verdict: 0 when both, 1 otherwise."""
+    undecided = theorem_checker.VERDICT_INCONCLUSIVE
+    if undecided in (conditions["cond2_verdict"], conditions["cond3_verdict"]):
+        return "inconclusive", 2
+    predicted = conditions["invariance_predicted"]
+    observed = simulate_decision == 0
+    return FULL_VERDICTS[predicted, observed], 0 if predicted and observed else 1
 
 
 def run(
@@ -341,7 +362,7 @@ def run(
     effect; it is kept because the benchmark worker (perfbench/worker.py)
     passes it.
     """
-    if subcommand not in SUBCOMMANDS:
+    if subcommand not in STAGES:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     cfg = load_config(config_path)
     if seed_override is not None:  # checked like a configured seed
@@ -363,83 +384,26 @@ def run(
         },
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
+    decisions = {}
+    side_files = {}
+    for stage in STAGES[subcommand]:
+        sections, decisions[stage.__name__], files = stage(model, domain, cfg)
+        report.update(sections)
+        side_files.update(files)
 
-    conditions = None
-    probe_result = None
-    estimates = None
-
-    if subcommand in ("check", "full"):
-        conditions = _run_check(model, domain, cfg)
-        report["conditions"] = asdict(conditions)
-    if subcommand in ("probe", "full"):
-        probe_result = _run_probe(model, domain, cfg)
-        report["shell_probe"] = _probe_dict(probe_result)
-    if subcommand in ("simulate", "full"):
-        estimates = _run_simulate(model, domain, cfg)
-        report["exit"] = asdict(estimates[-1])
-        if len(estimates) > 1:
-            report["exit_estimates"] = [asdict(e) for e in estimates]
-
-    p_max = float(cfg["sim"]["p_max"])
     if subcommand == "full":
-        verdict = _verdict(conditions, estimates, p_max)
-        code = {VERDICT_BOTH: 0, VERDICT_INCONCLUSIVE: 2}.get(verdict, 1)
-    elif subcommand == "check":
-        if conditions.invariance_predicted:
-            verdict, code = "invariance_predicted", 0
-        elif (
-            theorem_checker.VERDICT_FAILS
-            in (conditions.cond2_verdict, conditions.cond3_verdict)
-            or (conditions.regularity is not None and not conditions.regularity.passed)
-        ):
-            verdict, code = "not_predicted", 1
-        else:
-            verdict, code = "inconclusive", 2
-    elif subcommand == "probe":
-        verdict = "shell_sign_ok" if probe_result.passed else "shell_sign_violated"
-        code = 0 if probe_result.passed else 1
+        verdict, code = _full_verdict(report["conditions"], decisions["simulate"])
     else:
-        observed = estimates[-1].p_hat <= p_max
-        verdict = "no_exit_observed" if observed else "exit_observed"
-        code = 0 if observed else 1
+        code = decisions[subcommand]
+        verdict = VERDICTS[subcommand][code]
     report["verdict"] = verdict
     report["exit_code"] = code
 
-    files = ["report.json"]
-    omitted = []
-    if conditions is not None and conditions.cond2_sup:
-        rows = [
-            [repr(float(e)), repr(float(s2)), repr(float(r2)), repr(float(s3))]
-            for e, s2, r2, s3 in zip(
-                conditions.eps_grid,
-                conditions.cond2_sup,
-                conditions.cond2_ratio,
-                conditions.cond3_sup,
-            )
-        ]
-        _csv_rows(
-            out / "cond_profile.csv",
-            ["eps", "cond2_sup", "cond2_ratio", "cond3_sup"],
-            rows,
-        )
-        files.append("cond_profile.csv")
-    else:
-        omitted.append("cond_profile.csv")
-
-    if estimates is not None:
-        rows = [
-            [repr(float(e.dt)), e.n_paths, repr(float(e.p_hat)),
-             repr(float(e.ci_low)), repr(float(e.ci_high))]
-            for e in estimates
-        ]
-        _csv_rows(out / "exit.csv", ["dt", "n_paths", "p_hat", "ci_low", "ci_high"], rows)
-        files.append("exit.csv")
-    else:
-        omitted.append("exit.csv")
-
-    files.extend(emit_plot_data(report, out))
-    report["files"] = sorted(files)
-    report["omitted"] = sorted(omitted)
+    for name, rows in side_files.items():
+        with open(out / name, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+    report["files"] = sorted(["report.json", *side_files])
+    report["omitted"] = sorted({"cond_profile.csv", "exit.csv"} - set(side_files))
 
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -452,7 +416,7 @@ def main(argv=None) -> int:
         prog="viability",
         description="Numerical invariance checks for Ito diffusions on smooth domains",
     )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=STAGES)
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory (default from config)")
     parser.add_argument("--seed", type=int, default=None, help="override every configured seed")

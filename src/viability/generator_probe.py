@@ -143,13 +143,21 @@ def shell_sign_check(
 def sample_initial_cloud(
     domain: ImplicitDomain, cloud_cfg: dict | None, count: int, seed: int
 ) -> np.ndarray:
-    """count start points inside K, as a (count, n) array: a fixed point, an
-    explicit list of count points, or a uniform ball (default: radius half the
-    inner radius around the center). Any other shape raises ValueError."""
+    """count start points inside K, as a (count, n) array: a fixed point x of
+    dimension n, an explicit list of count points, or a uniform ball (default:
+    radius half the inner radius around the center). A missing x or points,
+    or any other shape, raises ValueError."""
     cfg = cloud_cfg or {}
     kind = cfg.get("kind", "uniform_ball")
+    required = {"point": "x", "points": "points"}.get(kind)
+    if required is not None and required not in cfg:
+        raise ValueError(f"initial cloud {kind!r} needs the key {required!r}")
     if kind == "point":
         x = np.asarray(cfg["x"], dtype=float)
+        if x.shape != (domain.dimension,):
+            raise ValueError(
+                f"initial cloud {kind!r} has x of shape {x.shape}, need ({domain.dimension},)"
+            )
         pts = np.tile(x, (count, 1))
     elif kind == "points":
         pts = np.asarray(cfg["points"], dtype=float)

@@ -158,7 +158,7 @@ def test_report_echoes_resolved_config(tmp_path):
 
 
 def test_check_keys_are_the_checker_fields_but_seed():
-    # _run_check passes every check key to CheckerConfig, and the root seed
+    # the check stage passes every check key to CheckerConfig, and the root seed
     # feeds the one field that is not a key
     fields = {f.name for f in dataclasses.fields(CheckerConfig)}
     assert set(cli_runner.CHECK_DEFAULTS) == fields - {"seed"}
@@ -351,6 +351,16 @@ def test_invalid_configs_raise_config_error(tmp_path):
         ("output", "out"),
         ("output", {"dir": 5}),
         ("output", {"dri": "x"}),
+        # a decision parameter outside its range exits 3 instead of deciding
+        ("check", {"delta_margin": -1.0}),
+        ("check", {"delta_abs": -0.1}),
+        ("check", {"p_min": 0.0}),
+        ("check", {"lipschitz_L": -1.0}),
+        ("check", {"lipschitz_L": 0.0}),
+        ("probe", {"tol_shell_factor": -1.0}),
+        ("probe", {"eps": 0.0}),
+        ("sim", {"x0": [0.5, 0.0], "T": 0.5, "dt": 0.01, "p_max": -1.0}),
+        ("sim", {"x0": [0.5, 0.0], "T": 0.5, "dt": 0.01, "p_max": 1.5}),
     ],
 )
 def test_bad_section_values_are_config_errors(tmp_path, section, values):

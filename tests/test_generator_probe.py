@@ -210,10 +210,16 @@ def test_sample_initial_cloud_points_kind():
         {"kind": "points", "points": [0.1, 0.0]},
         {"kind": "point", "x": [0.1, 0.0, 0.0]},
         {"kind": "uniform_ball", "center": [0.0, 0.0, 0.0], "radius": 0.1},
+        # a point is one 1-D x of the domain's dimension
+        {"kind": "point", "x": [[0.1, 0.0]]},
+        # a kind without its key
+        {"kind": "point"},
+        {"kind": "points"},
     ],
 )
 def test_sample_initial_cloud_of_another_shape_is_refused(cloud):
-    """A cloud that is not (count, n) raises ValueError naming its kind."""
+    """A cloud that is not (count, n), or lacks its kind's key, raises
+    ValueError naming its kind."""
     with pytest.raises(ValueError, match=repr(cloud["kind"])):
         generator_probe.sample_initial_cloud(unit_ball(), cloud, 5, seed=1)
 
