@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateGradient, NoConvergence
+from .rows import row_norm
 from .seeds import generator
 
 GRAD_TOLERANCE = 1e-12
@@ -81,20 +82,6 @@ def _row_sum(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_norm(u: np.ndarray) -> np.ndarray:
-    """Euclidean length over the last axis, of a point or of each row.
-
-    The square root of a stacked matmul of each row with itself takes the
-    row's dot product alone, as np.linalg.norm does for one point, so a row
-    gets the bits of that point. np.linalg.norm(U, axis=1) reduces the
-    squares without that dot and can differ in the last bit. The rows are
-    made contiguous first, because matmul over the rows of a Fortran-ordered
-    batch gives other bits from 4-D up.
-    """
-    u = np.ascontiguousarray(u)
-    return np.sqrt((u[..., None, :] @ u[..., :, None])[..., 0, 0])
-
-
 @dataclass(frozen=True)
 class BoundarySample:
     """A point at prescribed distance from K together with its outward normal."""
@@ -125,19 +112,14 @@ def ball(center, radius: float) -> ImplicitDomain:
         return float(q) if q.ndim == 0 else q
 
     def grad(x):
-        # Zero within GRAD_TOLERANCE of the center. A point takes the scalar
-        # form, which costs half the batch form per call; outward_normal
-        # calls it one point at a time. Both norms give a point the same bits.
+        # Zero within GRAD_TOLERANCE of the center.
         u = np.asarray(x, dtype=float) - c
-        if u.ndim == 1:
-            nu = np.linalg.norm(u)
-            return u / nu if nu >= GRAD_TOLERANCE else np.zeros(n)
-        nu = _row_norm(u)[:, None]
+        nu = row_norm(u)[..., None]
         return np.divide(u, nu, out=np.zeros_like(u), where=nu >= GRAD_TOLERANCE)
 
     def hess(x):
         uhat = grad(x)
-        nu = _row_norm(np.asarray(x, dtype=float) - c)[..., None, None]
+        nu = row_norm(np.asarray(x, dtype=float) - c)[..., None, None]
         P = np.eye(n) - uhat[..., :, None] * uhat[..., None, :]
         return np.divide(P, nu, out=np.zeros_like(P), where=nu >= GRAD_TOLERANCE)
 
@@ -145,7 +127,7 @@ def ball(center, radius: float) -> ImplicitDomain:
         # Radially: the foot is c + r u / |u| for u = x - c, at distance
         # ||u| - r|; a row at the center takes the first axis.
         U = X - c
-        length = _row_norm(U)
+        length = row_norm(U)
         return c + r * _unit_rows(U, length), np.abs(length - r)
 
     return ImplicitDomain(
@@ -277,17 +259,27 @@ def signed_level(domain: ImplicitDomain, x) -> float:
 
 
 def outward_normal(domain: ImplicitDomain, z) -> np.ndarray:
-    """Unit outward normal grad Q / |grad Q| at z.
+    """Unit outward normal grad Q / |grad Q| at z: outward_normal_batch
+    applied to a batch of one."""
+    return outward_normal_batch(domain, np.asarray(z, dtype=float)[None, :])[0]
 
-    Raises DegenerateGradient when the gradient magnitude is below tolerance,
-    which flags a point where the implicit surface is not locally smooth
-    (for the built-in kinds, only the center).
+
+def outward_normal_batch(domain: ImplicitDomain, Z) -> np.ndarray:
+    """Unit outward normals grad Q / |grad Q| at the rows of Z.
+
+    Raises DegenerateGradient, naming the first such row, when a gradient
+    magnitude is below tolerance, which flags a point where the implicit
+    surface is not locally smooth (for the built-in kinds, only the center).
+    The lengths are row norms, so each row has the bits of that point alone.
     """
-    g = domain.gradient_fn(z)
-    ng = np.linalg.norm(g)
-    if ng < GRAD_TOLERANCE:
-        raise DegenerateGradient(f"|grad Q| = {ng:.3e} at {np.asarray(z)!r}")
-    return g / ng
+    Z = np.asarray(Z, dtype=float)
+    g = domain.gradient_fn(Z)
+    ng = row_norm(g)
+    flat = np.flatnonzero(ng < GRAD_TOLERANCE)
+    if flat.size:
+        i = flat[0]
+        raise DegenerateGradient(f"|grad Q| = {ng[i]:.3e} at {Z[i]!r}")
+    return g / ng[:, None]
 
 
 def project_to_boundary(domain: ImplicitDomain, x) -> tuple[np.ndarray, float]:
@@ -493,17 +485,15 @@ def sample_offset_boundary(
     Boundary points of K are drawn area-weighted by the kind's sampler and
     pushed distance eps along the outward normal; for the convex built-in
     kinds the pushed point has dist(z, K) = eps exactly. eps = 0 returns
-    boundary points with implicit-gradient normals. Deterministic for a fixed
-    seed, and a larger count extends the samples of a smaller one.
+    boundary points with implicit-gradient normals. All normals come from
+    one outward_normal_batch call. Deterministic for a fixed seed, and a
+    larger count extends the samples of a smaller one.
     """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = generator(seed)
-    samples = []
-    for foot in domain.boundary_points(rng, count):
-        nu = outward_normal(domain, foot)
-        z = foot + eps * nu
-        samples.append(BoundarySample(point=z, normal=nu))
-    return samples
+    feet = domain.boundary_points(generator(seed), count)
+    normals = outward_normal_batch(domain, feet)
+    points = feet + eps * normals
+    return [BoundarySample(point=z, normal=nu) for z, nu in zip(points, normals)]

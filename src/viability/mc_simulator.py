@@ -27,7 +27,8 @@ from .geometry import ImplicitDomain, signed_level
 from .sde_model import SdeModel
 from .seeds import path_generator, path_keys
 
-WINDOW = 1024  # steps per increment draw; fixed so stream layout never varies
+WINDOW = 1024  # steps per increment draw; a path reads its stream in order, so
+# the width moves no increment and sets only the memory of a window
 BLOCK = 2048  # paths simulated per vectorized block
 Z95 = 1.959963984540054
 

@@ -15,23 +15,25 @@ is a deterministic, re-checkable function of the stored profiles.
 
 Each sup is the sampled maximum sharpened by local ascent along S_eps from
 the best samples. theorem1_report draws the offset samples once and passes
-them to both conditions. Within a profile the ascents from every start of
-every eps run in lockstep, one batched projection per round; since each row
-of a batched projection depends on that row alone, the sups have the same
-bits as ascents run one start at a time.
+them to both conditions. The sweep runs as arrays: each eps evaluates its
+samples in one batch, and the ascents from every start of every eps run in
+lockstep, each round one batched projection, one batch of normals and one
+batched evaluation of the functional. Every dot product is a row dot
+(rows.row_dot) and every running max keeps Python's max, so the sups have
+the bits of ascents run one start and one point at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Generator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import geometry, sde_model
 from .errors import ViabilityError
 from .geometry import BoundarySample, ImplicitDomain
+from .rows import row_dot, row_norm
 from .sde_model import RegularityReport, SdeModel
 from .seeds import child_seed
 
@@ -79,21 +81,38 @@ class ConditionReport:
     errors: list = field(default_factory=list)
 
 
-def _tangent_basis(nu: np.ndarray) -> list[np.ndarray]:
-    n = nu.shape[0]
-    basis = []
+def _tangent_bases(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal tangent bases at the unit normals N, one per row.
+
+    Gram-Schmidt on the coordinate axes e_0, e_1, ... projected off the
+    normal; an axis whose remainder is not longer than 1e-8 is skipped, and
+    a row stops at n - 1 vectors. Returns the (m, n - 1, n) bases and the
+    number of vectors of each row (n - 1 for every unit normal). Each row
+    takes the operations, in the order, of Gram-Schmidt on its normal alone,
+    and every dot product is a row dot, so a basis has the bits of that
+    normal's basis.
+    """
+    m, n = N.shape
+    basis = np.zeros((m, n - 1, n))
+    count = np.zeros(m, dtype=int)
     for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        t = e - np.dot(e, nu) * nu
-        for b in basis:
-            t = t - np.dot(t, b) * b
-        norm = np.linalg.norm(t)
-        if norm > 1e-8:
-            basis.append(t / norm)
-        if len(basis) == n - 1:
+        rows = np.flatnonzero(count < n - 1)
+        if not rows.size:
             break
-    return basis
+        nu = N[rows]
+        e = np.zeros_like(nu)
+        e[:, i] = 1.0
+        t = e - row_dot(e, nu)[:, None] * nu
+        for j in range(i):  # the vectors found so far, in order
+            has = count[rows] > j
+            b = basis[rows[has], j]
+            t[has] = t[has] - row_dot(t[has], b)[:, None] * b
+        norm = row_norm(t)
+        keep = norm > 1e-8
+        found = rows[keep]
+        basis[found, count[found]] = t[keep] / norm[keep, None]
+        count[found] += 1
+    return basis, count
 
 
 def _offset_samples(
@@ -110,38 +129,80 @@ def _offset_samples(
     ]
 
 
-def _walk(
+def _ascend(
     domain: ImplicitDomain,
-    eps: float,
-    sample: BoundarySample,
-    current: float,
-    scale: float,
-    objective: Callable[[BoundarySample], float],
-) -> Generator[np.ndarray, np.ndarray, float]:
-    """Local ascent along S_eps from one start sample, as a generator.
+    eps: np.ndarray,
+    scale: np.ndarray,
+    points: np.ndarray,
+    normals: np.ndarray,
+    values: np.ndarray,
+    objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Local ascent along S_eps from each start row, every walk in lockstep.
 
-    The walk moves along tangent directions with a shrinking step and
-    re-projects onto S_eps after each move; the tangent basis is taken from
-    the sample at the start of each sweep. It yields each move's point, is
-    sent back that point's boundary foot, and returns its best value. A walk
-    without tangent directions (1-D) yields nothing.
+    Walk w starts at the sample (points[w], normals[w]) of value values[w]
+    and walks on S_eps for its eps[w]. A sweep takes a tangent basis at the
+    walk's sample and tries +step and then -step along each basis vector,
+    re-projecting each move onto S_eps; a move that raises the objective
+    becomes the walk's sample at once. A sweep without a gain halves the
+    step, and a walk ends once the step falls below 1e-6 scale[w] or after
+    REFINE_STEPS sweeps. A walk without tangent directions (1-D) makes no
+    moves. Returns each walk's best value.
+
+    Each round makes the next move of every live walk, in walk order: one
+    project_to_boundary_batch call, one batch of normals and one objective
+    call. A row of each depends on that row alone, so every walk takes the
+    moves, and reaches the bits, of the same walk run on its own; an error
+    names the first offending row in walk order.
     """
+    points, normals, values = points.copy(), normals.copy(), values.copy()
+    walks, n = points.shape
     step = 0.5 * scale
-    for _ in range(REFINE_STEPS):
-        improved = False
-        for t in _tangent_basis(sample.normal):
-            for sgn in (1.0, -1.0):
-                foot = yield sample.point + sgn * step * t
-                nu = geometry.outward_normal(domain, foot)
-                cand = BoundarySample(point=foot + eps * nu, normal=nu)
-                val = objective(cand)
-                if val > current:
-                    sample, current, improved = cand, val, True
-        if not improved:
-            step *= 0.5
-            if step < 1e-6 * scale:
-                break
-    return current
+    live = np.ones(walks, dtype=bool)
+    sweeps = np.zeros(walks, dtype=int)
+    # The current sweep of each walk: its basis, its number of moves and the
+    # index of its next move (move i goes along basis[i // 2] with sign
+    # (-1)^i), and whether one of its moves has gained yet.
+    basis = np.zeros((walks, n - 1, n))
+    moves = np.zeros(walks, dtype=int)
+    move = np.zeros(walks, dtype=int)
+    improved = np.zeros(walks, dtype=bool)
+
+    def begin(rows):
+        """Start a sweep at each of rows, then end every sweep that has
+        no move left, and begin the next one, until each walk of rows has a
+        move to make or is done."""
+        while rows.size:
+            basis[rows], count = _tangent_bases(normals[rows])
+            moves[rows], move[rows], improved[rows] = 2 * count, 0, False
+            rows = end(rows[moves[rows] == 0])
+
+    def end(rows):
+        """End the sweeps of rows; the walks that go on to another sweep."""
+        flat = rows[~improved[rows]]
+        step[flat] *= 0.5
+        live[flat[step[flat] < 1e-6 * scale[flat]]] = False
+        sweeps[rows] += 1
+        live[rows[sweeps[rows] == REFINE_STEPS]] = False
+        return rows[live[rows]]
+
+    begin(np.arange(walks))
+    while live.any():
+        rows = np.flatnonzero(live)
+        t = basis[rows, move[rows] // 2]
+        sgn = np.where(move[rows] % 2 == 0, 1.0, -1.0)
+        feet, _ = geometry.project_to_boundary_batch(
+            domain, points[rows] + (sgn * step[rows])[:, None] * t
+        )
+        nu = geometry.outward_normal_batch(domain, feet)
+        cand = feet + eps[rows, None] * nu
+        val = objective(cand, nu)
+        up = val > values[rows]
+        gain = rows[up]
+        points[gain], normals[gain], values[gain], improved[gain] = cand[up], nu[up], val[up], True
+        move[rows] += 1
+        begin(end(rows[move[rows] == moves[rows]]))
+    return values
 
 
 def _profile(
@@ -149,48 +210,43 @@ def _profile(
     eps_grid: Sequence[float],
     stages: Sequence[Sequence[BoundarySample]],
     time_grid: Sequence[float],
-    pointwise: Callable[[float, BoundarySample], float],
+    pointwise: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
 ) -> list[float]:
-    """Per-eps sup of the pointwise functional over the times, sharpened by
-    local ascent from the REFINE_TOP best samples of each eps.
+    """Per-eps sup of the functional over the times, sharpened by local
+    ascent from the REFINE_TOP best samples of each eps.
 
-    Every start of every eps is an independent walk, and the walks run in
-    lockstep: each round takes the next move of every live walk and projects
-    all of them in one project_to_boundary_batch call. A row of that batch
-    depends on that row alone, so each walk sees the same feet, and each sup
-    the same bits, as a walk run on its own. Deterministic, and a sup is
+    pointwise(s, Z, N) evaluates the functional at time s on the rows of the
+    points Z and their normals N. The max over the times keeps Python's max:
+    a time's value replaces the running one only when it is larger, so a
+    NaN at the first time stays and a NaN at a later time never wins. Each
+    eps evaluates its samples in one batch; the ascents from every start of
+    every eps then run in lockstep (_ascend). Deterministic, and a sup is
     never below its sampled maximum.
     """
-    objective = lambda smp: max(pointwise(s, smp) for s in time_grid)
+    if not len(time_grid):
+        raise ValueError("time_grid must not be empty")
+
+    def objective(Z, N):
+        best = None
+        for s in time_grid:
+            v = pointwise(s, Z, N)
+            best = v if best is None else np.where(v > best, v, best)
+        return best
+
     reach = 0.05 * domain.bounding_radius
-    sups, starts, walks = [], [], []
+    sups, owner, starts = [], [], []
     for e_idx, (eps, samples) in enumerate(zip(eps_grid, stages)):
-        values = np.array([objective(smp) for smp in samples])
+        Z = np.array([smp.point for smp in samples])
+        N = np.array([smp.normal for smp in samples])
+        values = objective(Z, N)
         sups.append(float(np.max(values)))
-        scale = max(eps, reach)
         for start in np.argsort(values)[::-1][:REFINE_TOP]:
-            starts.append(e_idx)
-            walks.append(
-                _walk(domain, eps, samples[start], float(values[start]), scale, objective)
-            )
-
-    results = [None] * len(walks)
-    live, feet = list(enumerate(walks)), [None] * len(walks)
-    while live:
-        moved, points = [], []
-        for (w_idx, walk), foot in zip(live, feet):
-            try:
-                points.append(walk.send(foot))
-            except StopIteration as done:
-                results[w_idx] = done.value
-            else:
-                moved.append((w_idx, walk))
-        live = moved
-        if points:
-            feet, _ = geometry.project_to_boundary_batch(domain, np.array(points))
-
-    for e_idx, current in zip(starts, results):
-        sups[e_idx] = max(sups[e_idx], current)
+            owner.append(e_idx)
+            starts.append((eps, max(eps, reach), Z[start], N[start], values[start]))
+    eps, scale, points, normals, values = (np.array(col, dtype=float) for col in zip(*starts))
+    best = _ascend(domain, eps, scale, points, normals, values, objective)
+    for e_idx, current in zip(owner, best):
+        sups[e_idx] = max(sups[e_idx], float(current))
     return sups
 
 
@@ -216,17 +272,19 @@ def condition2_profile(
     return _profile(domain, eps_grid, stages, time_grid, _tangency(model))
 
 
-def _tangency(model: SdeModel) -> Callable[[float, BoundarySample], float]:
-    """The condition-2 functional: max over channels of |b_j . nu|."""
+def _tangency(model: SdeModel) -> Callable[[float, np.ndarray, np.ndarray], np.ndarray]:
+    """The condition-2 functional on rows: max over channels of |b_j . nu|,
+    0 without channels. The max keeps Python's max, as over the times."""
 
-    def pointwise(s, smp):
-        b = model.diffusion(s, smp.point)
-        return max(
-            (abs(float(np.dot(b[:, k], smp.normal))) for k in range(b.shape[-1])),
-            default=0.0,
-        )
+    def values(s, Z, N):
+        b = model.diffusion(s, Z)
+        best = np.zeros(len(Z))
+        for k in range(b.shape[-1]):
+            v = np.abs(row_dot(b[..., k], N))
+            best = v if k == 0 else np.where(v > best, v, best)
+        return best
 
-    return pointwise
+    return values
 
 
 def condition2_verdict(
@@ -263,19 +321,34 @@ def condition2_verdict(
     return VERDICT_INCONCLUSIVE
 
 
+def _pressure(model: SdeModel) -> Callable[[float, np.ndarray, np.ndarray], np.ndarray]:
+    """The condition-3 functional on rows: a . nu - 1/2 sum_k nu^T (Db_k) b_k.
+
+    The Jacobian is evaluated per row (SdeModel.jacobian takes one point);
+    everything else is one batch, and every product is a stacked matmul, so
+    a row has the bits of that point evaluated alone.
+    """
+
+    def values(s, Z, N):
+        a = model.drift(s, Z)
+        jac = np.stack([sde_model.diffusion_jacobian(model, s, z) for z in Z])
+        b = model.diffusion(s, Z)
+        corr = np.zeros(len(Z))
+        for k in range(b.shape[-1]):
+            corr = corr + ((N[:, None, :] @ jac[:, k]) @ b[..., k, None])[:, 0, 0]
+        return row_dot(a, N) - 0.5 * corr
+
+    return values
+
+
 def condition3_value(
     model: SdeModel, domain: ImplicitDomain, s: float, sample: BoundarySample
 ) -> float:
     """Drift pressure along the normal with the diffusion correction:
     a . nu - 1/2 sum_k nu^T (Db_k) b_k evaluated at the sample point."""
-    z, nu = sample.point, sample.normal
-    a = model.drift(s, z)
-    jac = sde_model.diffusion_jacobian(model, s, z)
-    b = model.diffusion(s, z)
-    corr = 0.0
-    for k in range(b.shape[-1]):
-        corr += float(nu @ jac[k] @ b[:, k])
-    return float(np.dot(a, nu)) - 0.5 * corr
+    Z = np.asarray(sample.point, dtype=float)[None, :]
+    N = np.asarray(sample.normal, dtype=float)[None, :]
+    return float(_pressure(model)(s, Z, N)[0])
 
 
 def condition3_profile(
@@ -289,8 +362,7 @@ def condition3_profile(
     """Per-eps sup over samples and times of the condition-3 functional."""
     _validate_grid(eps_grid)
     stages = _offset_samples(domain, eps_grid, samples_per_eps, seed)
-    pressure = partial(condition3_value, model, domain)
-    return _profile(domain, eps_grid, stages, time_grid, pressure)
+    return _profile(domain, eps_grid, stages, time_grid, _pressure(model))
 
 
 def condition3_verdict(profile: Sequence[float], delta_margin: float = 1e-3) -> str:
@@ -369,8 +441,7 @@ def theorem1_report(
             report.errors.append(f"condition2: {exc}")
 
         try:
-            pressure = partial(condition3_value, model, domain)
-            prof3 = _profile(domain, cfg.eps_grid, stages, cfg.time_grid, pressure)
+            prof3 = _profile(domain, cfg.eps_grid, stages, cfg.time_grid, _pressure(model))
             report.cond3_sup = [float(v) for v in prof3]
             report.cond3_verdict = condition3_verdict(prof3, cfg.delta_margin)
         except (ViabilityError, ValueError) as exc:

@@ -77,6 +77,71 @@ def test_outward_normal_matches_fd_gradient():
             assert np.linalg.norm(nu - fd) <= 1e-6  # |fd| = 1, so this is relative
 
 
+def _scalar_outward_normal(domain, z):
+    """Verbatim copy of the per-point normal that outward_normal_batch replaced."""
+    g = domain.gradient_fn(z)
+    ng = np.linalg.norm(g)
+    if ng < geometry.GRAD_TOLERANCE:
+        raise DegenerateGradient(f"|grad Q| = {ng:.3e} at {np.asarray(z)!r}")
+    return g / ng
+
+
+def _scalar_ball_gradient(center):
+    """Verbatim copy of the ball's point gradient that the batch form replaced."""
+    c = np.asarray(center, dtype=float)
+
+    def grad(x):
+        u = np.asarray(x, dtype=float) - c
+        nu = np.linalg.norm(u)
+        return u / nu if nu >= geometry.GRAD_TOLERANCE else np.zeros(c.size)
+
+    return grad
+
+
+@pytest.mark.parametrize("d", BUILT_IN_KINDS)
+def test_outward_normal_batch_matches_the_scalar_normal_bit_for_bit(d):
+    rng = np.random.default_rng(5)
+    Z = d.center + rng.uniform(-2.0, 2.0, size=(300, d.dimension))
+    batch = geometry.outward_normal_batch(d, Z)
+    old = np.array([_scalar_outward_normal(d, z) for z in Z])
+    assert batch.tobytes() == old.tobytes()
+    assert np.array([geometry.outward_normal(d, z) for z in Z]).tobytes() == old.tobytes()
+    if d.kind == "ball":
+        grad = _scalar_ball_gradient(d.center)
+        assert np.array([d.gradient_fn(z) for z in Z]).tobytes() == np.array(
+            [grad(z) for z in Z]
+        ).tobytes()
+
+
+def test_outward_normal_batch_names_the_first_degenerate_row():
+    Z = np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 0.5], [0.0, 0.0]])
+    Z[3] += 1e-14
+    with pytest.raises(DegenerateGradient) as err:
+        geometry.outward_normal_batch(unit_ball(), Z)
+    with pytest.raises(DegenerateGradient) as one:
+        _scalar_outward_normal(unit_ball(), Z[1])
+    assert str(err.value) == str(one.value)
+
+
+@pytest.mark.parametrize("d", BUILT_IN_KINDS)
+def test_sample_offset_boundary_matches_the_per_foot_loop_bit_for_bit(d):
+    # Verbatim copy of the per-foot loop that the batched normals replaced.
+    def per_foot(domain, eps, count, seed):
+        rng = geometry.generator(seed)
+        samples = []
+        for foot in domain.boundary_points(rng, count):
+            nu = _scalar_outward_normal(domain, foot)
+            z = foot + eps * nu
+            samples.append(geometry.BoundarySample(point=z, normal=nu))
+        return samples
+
+    for eps in (0.0, 0.1):
+        new = geometry.sample_offset_boundary(d, eps, 100, 13)
+        old = per_foot(d, eps, 100, 13)
+        assert np.array([s.point for s in new]).tobytes() == np.array([s.point for s in old]).tobytes()
+        assert np.array([s.normal for s in new]).tobytes() == np.array([s.normal for s in old]).tobytes()
+
+
 def test_project_ball_radial_and_center_tie():
     d = unit_ball()
     foot, dist = geometry.project_to_boundary(d, [2.0, 0.0])

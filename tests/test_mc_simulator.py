@@ -255,6 +255,33 @@ def test_sharded_paths_are_bit_identical_for_any_cpu_count(monkeypatch, block):
     assert estimates[0] == estimates[1] == estimates[2]
 
 
+@pytest.mark.parametrize("window", [7, 300])
+def test_window_width_does_not_change_any_path(monkeypatch, window):
+    """A path's increments are its stream read in order, whatever the window
+    width: windows of 7 and 300 steps give every path's (states, steps,
+    exited, nonfinite) of the default width bit for bit, over horizons of
+    several windows, with exits and overflowing paths."""
+    cases = [
+        (_leaky_model(), geometry.ball([0.0, 0.0], 1.0), np.tile([0.5, 0.0], (40, 1)), 0.4, 2.5e-4),
+        (sde_model.rotational(), geometry.ball([0.0, 0.0], 1.0), np.tile([0.5, 0.0], (16, 1)), 1.0, 1e-3),
+        (sde_model.brownian(3), geometry.ball([0.0] * 3, 1.0), np.zeros((64, 3)), 0.25, 1e-3),
+        (_affine_model(), None, np.random.default_rng(2).uniform(-1.0, 1.0, (9, 2)), 0.7, 1e-3),
+    ]
+    width = mc_simulator.WINDOW
+    with np.errstate(invalid="ignore"):
+        default = [mc_simulator._simulate_block(m, d, x, T, dt, 11, 3) for m, d, x, T, dt in cases]
+        monkeypatch.setattr(mc_simulator, "WINDOW", window)
+        narrow = [mc_simulator._simulate_block(m, d, x, T, dt, 11, 3) for m, d, x, T, dt in cases]
+    for old, new in zip(default, narrow):
+        assert [a.tobytes() for a in new] == [a.tobytes() for a in old]
+    _, steps, exited, nonfinite = default[0]
+    stops = steps[exited | nonfinite]
+    assert exited.any() and nonfinite.any()
+    # paths stop in different windows of either width
+    assert np.unique(stops // window).size > 1 and np.unique(stops // width).size > 1
+    assert default[2][2].any()
+
+
 @forking
 def test_sharded_final_states_are_bit_identical_for_any_cpu_count(monkeypatch):
     model = _affine_model()

@@ -214,6 +214,86 @@ def test_check_regularity_rejects_zero_pairs():
         )
 
 
+def _per_pair_regularity(model, L, box, pairs, seed, times=(0.0,)):
+    """Verbatim copy of the per-pair loop that the batched check replaced."""
+    if pairs < 1:
+        raise ValueError("pairs must be >= 1")
+    lo = np.asarray(box[0], dtype=float)
+    hi = np.asarray(box[1], dtype=float)
+    rng = sde_model.generator(seed)
+    max_lip = 0.0
+    max_growth = 0.0
+    for _ in range(pairs):
+        x = rng.uniform(lo, hi)
+        y = rng.uniform(lo, hi)
+        for s in times:
+            ax, ay = model.drift(s, x), model.drift(s, y)
+            bx, by = model.diffusion(s, x), model.diffusion(s, y)
+            for pt, a, b in ((x, ax, bx), (y, ay, by)):
+                g = float(np.dot(a, a))
+                for k in range(b.shape[-1]):
+                    g += float(np.dot(b[:, k], b[:, k]))
+                max_growth = max(max_growth, g / (1.0 + float(np.dot(pt, pt))))
+            gap = float(np.linalg.norm(x - y))
+            if gap < 1e-12:
+                continue
+            num = float(np.linalg.norm(ax - ay))
+            for k in range(bx.shape[-1]):
+                num += float(np.linalg.norm(bx[:, k] - by[:, k]))
+            max_lip = max(max_lip, num / gap)
+    passed = max_lip <= L and max_growth <= L * L
+    return sde_model.RegularityReport(max_lip, max_growth, pairs, float(L), passed)
+
+
+def _bits(report):
+    return (
+        np.array([report.lipschitz_estimate, report.growth_estimate]).tobytes(),
+        report.sample_count, report.bound, report.passed,
+    )
+
+
+REGULARITY_MODELS = {
+    "brownian3": lambda: sde_model.brownian(3, 0.7),
+    "ou_inward2": lambda: sde_model.ou_inward(2, 1.3),
+    "rotational": lambda: sde_model.rotational(0.9, 0.4),
+    "linear3": lambda: sde_model.linear(
+        [[-1.0, 0.2, 0.0], [-0.1, -0.9, 0.3], [0.0, -0.2, -1.1]],
+        [0.05, 0.0, -0.05],
+        [[[0.2, 0.0, 0.1], [0.1, 0.3, 0.0], [0.0, -0.1, 0.2]],
+         [[0.0, -0.1, 0.2], [0.2, 0.0, 0.1], [0.1, 0.1, -0.2]],
+         [[0.1, 0.2, 0.0], [-0.2, 0.1, 0.1], [0.0, 0.3, 0.1]]],
+        [[0.1, 0.2, -0.1], [0.0, 0.1, 0.3], [0.2, -0.1, 0.1]],
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(REGULARITY_MODELS))
+@pytest.mark.parametrize("times", [(0.0,), (0.0, 0.5)])
+def test_check_regularity_matches_the_per_pair_loop_bit_for_bit(family, times):
+    model = REGULARITY_MODELS[family]()
+    n = model.dimension
+    center = np.linspace(-0.3, 0.2, n)
+    for L, box, pairs, seed in (
+        (10.0, (center - 2.0, center + 2.0), 200, 20260821),
+        (1.0, (center - 0.5, center + 1.5), 37, 7),
+        (10.0, (center, center), 25, 3),  # lo == hi: every pair is skipped
+    ):
+        new = sde_model.check_regularity(model, L, box, pairs, seed, times=times)
+        old = _per_pair_regularity(model, L, box, pairs, seed, times=times)
+        assert _bits(new) == _bits(old)
+    degenerate = sde_model.check_regularity(model, 10.0, (center, center), 25, 3, times=times)
+    assert np.array(degenerate.lipschitz_estimate).tobytes() == np.array(0.0).tobytes()
+
+
+def test_check_regularity_draws_the_pairs_in_one_call():
+    # one (pairs, 2, n) draw reads the stream as the pairs drawn one by one
+    lo, hi = np.array([-1.0, 0.0, 2.0]), np.array([1.0, 0.5, 3.0])
+    one_by_one = sde_model.generator(5)
+    pairs = [[one_by_one.uniform(lo, hi) for _ in (0, 1)] for _ in range(40)]
+    at_once = sde_model.generator(5).uniform(lo, hi, size=(40, 2, 3))
+    assert at_once.tobytes() == np.array(pairs).tobytes()
+
+
 def test_from_config_dispatches_families():
     m = sde_model.from_config({"family": "brownian", "dimension": 3, "scale": 2.0})
     assert m.family == "brownian" and m.dimension == 3 and m.params["scale"] == 2.0

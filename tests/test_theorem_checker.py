@@ -256,14 +256,57 @@ def test_regularity_failure_blocks_prediction():
     assert report.invariance_predicted is False
 
 
-# Verbatim copies of the per-start ascent that the lockstep walks replaced
-# (REFINE_TOP, REFINE_STEPS and _tangent_basis are unchanged, so they are
-# taken from the module). The sups and the moves of the walks must match
-# them bit for bit.
+# Verbatim copies of the per-start ascent that the lockstep walks replaced,
+# and of the scalar tangent basis and condition functionals that the array
+# code replaced (REFINE_TOP and REFINE_STEPS are unchanged, so they are taken
+# from the module). The sups and the moves of the walks must match them bit
+# for bit.
 REFINE_TOP = theorem_checker.REFINE_TOP
 REFINE_STEPS = theorem_checker.REFINE_STEPS
-_tangent_basis = theorem_checker._tangent_basis
 child_seed = theorem_checker.child_seed
+
+
+def _tangent_basis(nu: np.ndarray) -> list[np.ndarray]:
+    n = nu.shape[0]
+    basis = []
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = 1.0
+        t = e - np.dot(e, nu) * nu
+        for b in basis:
+            t = t - np.dot(t, b) * b
+        norm = np.linalg.norm(t)
+        if norm > 1e-8:
+            basis.append(t / norm)
+        if len(basis) == n - 1:
+            break
+    return basis
+
+
+def _tangency(model):
+    """The condition-2 functional: max over channels of |b_j . nu|."""
+
+    def pointwise(s, smp):
+        b = model.diffusion(s, smp.point)
+        return max(
+            (abs(float(np.dot(b[:, k], smp.normal))) for k in range(b.shape[-1])),
+            default=0.0,
+        )
+
+    return pointwise
+
+
+def condition3_value(model, domain, s, sample):
+    """Drift pressure along the normal with the diffusion correction:
+    a . nu - 1/2 sum_k nu^T (Db_k) b_k evaluated at the sample point."""
+    z, nu = sample.point, sample.normal
+    a = model.drift(s, z)
+    jac = sde_model.diffusion_jacobian(model, s, z)
+    b = model.diffusion(s, z)
+    corr = 0.0
+    for k in range(b.shape[-1]):
+        corr += float(nu @ jac[k] @ b[:, k])
+    return float(np.dot(a, nu)) - 0.5 * corr
 
 
 def _reproject(domain, eps, x):
@@ -315,6 +358,45 @@ LINEAR_2D = dict(
     B=[[[0.2, 0.0], [0.1, 0.3]], [[0.0, -0.1], [0.2, 0.0]]],
     d=[[0.1, 0.2], [0.0, 0.1]],
 )
+LINEAR_3D = dict(
+    A=[[-1.0, 0.2, 0.0], [-0.1, -0.9, 0.3], [0.0, -0.2, -1.1]],
+    c=[0.05, 0.0, -0.05],
+    B=[[[0.2, 0.0, 0.1], [0.1, 0.3, 0.0], [0.0, -0.1, 0.2]],
+       [[0.0, -0.1, 0.2], [0.2, 0.0, 0.1], [0.1, 0.1, -0.2]],
+       [[0.1, 0.2, 0.0], [-0.2, 0.1, 0.1], [0.0, 0.3, 0.1]]],
+    d=[[0.1, 0.2, -0.1], [0.0, 0.1, 0.3], [0.2, -0.1, 0.1]],
+)
+
+
+def _nan_model():
+    """A 2-D model that returns NaN at some samples at one of two times.
+
+    The drift is NaN at the first time where x_0 > 0.6, so condition 3 keeps
+    that NaN; the noise is NaN at the second time where x_0 < -0.6, and
+    condition 2 keeps the first time's finite value there. np.maximum or
+    np.fmax over the times would change the sups.
+    """
+
+    def drift(t, x):
+        x = np.asarray(x, dtype=float)
+        bad = (x[..., 0] > 0.6) & (t == 0.0)
+        return np.where(bad[..., None], np.nan, -(1.0 + t) * x)
+
+    def diffusion(t, x):
+        x = np.asarray(x, dtype=float)
+        b = np.stack([-0.3 * x[..., 1], 0.3 * x[..., 0] + 0.1], axis=-1)[..., None]
+        bad = (x[..., 0] < -0.6) & (t > 0.0)
+        return np.where(bad[..., None, None], np.nan, b)
+
+    def jac(t, x):
+        out = np.zeros((1, 2, 2))
+        out[0, 0, 1] = -0.3
+        out[0, 1, 0] = 0.3
+        return out
+
+    return sde_model.SdeModel(2, "nan_at_some_samples", drift, diffusion, jac, {})
+
+
 ASCENT_CASES = {
     "ball2d_rotational": (lambda: geometry.ball([0.0, 0.0], 1.0),
                           lambda: sde_model.rotational(0.7, 0.5), (0.0,)),
@@ -332,6 +414,15 @@ ASCENT_CASES = {
                         lambda: sde_model.brownian(1), (0.0,)),
     "ellipse2d_linear_two_times": (lambda: geometry.ellipsoid([0.0, 0.0], [1.5, 1.0]),
                                    lambda: sde_model.linear(**LINEAR_2D), (0.0, 0.5)),
+    # every channel of B and d is nonzero, so each per-channel dot runs on a
+    # strided column of the (n, k) diffusion matrix
+    "ellipsoid3d_linear_three_channels": (
+        lambda: geometry.ellipsoid([0.3, -0.2, 0.1], [1.5, 1.0, 1.2]),
+        lambda: sde_model.linear(**LINEAR_3D), (0.0,)),
+    # ROADMAP item 1's case 2: the normal part of the noise is 0.002 sin(theta)
+    "offcentre_disk_rotational": (lambda: geometry.ball([0.02, 0.0], 1.0),
+                                  lambda: sde_model.rotational(0.1, 1.0), (0.0,)),
+    "ball2d_nan_two_times": (lambda: geometry.ball([0.0, 0.0], 1.0), _nan_model, (0.0, 0.5)),
 }
 
 
@@ -341,9 +432,9 @@ def test_lockstep_sups_match_per_start_ascent_bit_for_bit(case):
     domain, model = make_domain(), make_model()
     count, seed = 24, 7
     per_start = [
-        _profile(model, domain, EPS_GRID, times, count, seed, theorem_checker._tangency(model)),
+        _profile(model, domain, EPS_GRID, times, count, seed, _tangency(model)),
         _profile(model, domain, EPS_GRID, times, count, seed,
-                 partial(theorem_checker.condition3_value, model, domain)),
+                 partial(condition3_value, model, domain)),
     ]
     lockstep = [
         theorem_checker.condition2_profile(model, domain, EPS_GRID, times, count, seed),
@@ -367,33 +458,39 @@ def test_each_walk_evaluates_the_per_start_candidates(case):
     # The lockstep rounds take one move of every live walk, in walk order
     # (eps by eps, best start first). So the points the objective sees are
     # the samples, then the per-start sequences interleaved round by round.
+    # The batched objective sees the rows of each call in order, so the
+    # recorder concatenates the rows of every call.
     make_domain, make_model, _ = ASCENT_CASES[case]
     domain, model = make_domain(), make_model()
-    tangency = theorem_checker._tangency(model)
+    tangency = _tangency(model)
     stages = theorem_checker._offset_samples(domain, EPS_GRID, 16, 3)
 
     def recorder(seen):
-        def pointwise(s, smp):
+        def objective(smp):
             seen.append(smp.point.tobytes())
-            return tangency(s, smp)
+            return tangency(0.0, smp)
 
-        return pointwise
+        return objective
 
     walks = []
     for eps, samples in zip(EPS_GRID, stages):
         values = np.array([tangency(0.0, smp) for smp in samples])
         for start in np.argsort(values)[::-1][:REFINE_TOP]:
             seen = []
-            record = recorder(seen)
-            _refine_sup(domain, eps, [samples[start]], lambda smp: record(0.0, smp),
-                        values[[start]])
+            _refine_sup(domain, eps, [samples[start]], recorder(seen), values[[start]])
             walks.append(seen)
     expected = [smp.point.tobytes() for samples in stages for smp in samples]
     for r in range(max(map(len, walks))):
         expected += [seen[r] for seen in walks if r < len(seen)]
 
+    batched = theorem_checker._tangency(model)
+
+    def rows_recorder(s, Z, N):
+        seen.extend(z.tobytes() for z in Z)
+        return batched(s, Z, N)
+
     seen = []
-    theorem_checker._profile(domain, EPS_GRID, stages, (0.0,), recorder(seen))
+    theorem_checker._profile(domain, EPS_GRID, stages, (0.0,), rows_recorder)
     assert seen == expected
     if domain.dimension == 1:
         assert len(seen) == sum(map(len, stages))
@@ -425,3 +522,45 @@ def test_theorem1_report_records_a_failed_draw_for_both_conditions():
     assert report.errors == ["condition2: count must be >= 1", "condition3: count must be >= 1"]
     assert report.cond2_sup == [] and report.cond3_sup == []
     assert report.invariance_predicted is False
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_tangent_bases_match_the_scalar_basis_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    N = rng.standard_normal((40, n))
+    N /= np.linalg.norm(N, axis=1)[:, None]
+    # normals along an axis, and within 1e-9 of one, skip that axis
+    near = np.eye(n)[:, ::-1].copy()
+    near[:, 0] += 1e-9
+    N = np.concatenate([N, np.eye(n), -np.eye(n), near / np.linalg.norm(near, axis=1)[:, None]])
+    basis, count = theorem_checker._tangent_bases(N)
+    assert basis.shape == (len(N), n - 1, n)
+    for nu, rows, c in zip(N, basis, count):
+        scalar = _tangent_basis(nu)
+        assert c == len(scalar) == n - 1
+        assert rows[:c].tobytes() == np.array(scalar).reshape(c, n).tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(ASCENT_CASES))
+def test_batched_functionals_match_the_scalar_ones_bit_for_bit(case):
+    make_domain, make_model, times = ASCENT_CASES[case]
+    domain, model = make_domain(), make_model()
+    samples = geometry.sample_offset_boundary(domain, 0.1, 30, 11)
+    Z = np.array([smp.point for smp in samples])
+    N = np.array([smp.normal for smp in samples])
+    tangency, scalar = theorem_checker._tangency(model), _tangency(model)
+    pressure = theorem_checker._pressure(model)
+    for s in times:
+        assert tangency(s, Z, N).tobytes() == np.array([scalar(s, smp) for smp in samples]).tobytes()
+        old = np.array([condition3_value(model, domain, s, smp) for smp in samples])
+        assert pressure(s, Z, N).tobytes() == old.tobytes()
+        # the public per-point value is the batch code on a batch of one
+        one = [theorem_checker.condition3_value(model, domain, s, smp) for smp in samples]
+        assert np.array(one).tobytes() == old.tobytes()
+
+
+def test_profile_refuses_an_empty_time_grid():
+    stages = theorem_checker._offset_samples(unit_ball(), EPS_GRID, 4, 1)
+    tangency = theorem_checker._tangency(sde_model.rotational())
+    with pytest.raises(ValueError, match="time_grid"):
+        theorem_checker._profile(unit_ball(), EPS_GRID, stages, (), tangency)
