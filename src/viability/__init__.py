@@ -34,7 +34,6 @@ from .mollifier import (
     SmoothedIndicator,
     eta,
     eta_gradient,
-    eta_hessian,
     eta_with_derivatives,
     expected_eta,
     make_spec,
@@ -54,7 +53,6 @@ from .sde_model import (
     outward,
     rotational,
     sigma,
-    zero,
 )
 from .theorem_checker import (
     CheckerConfig,
@@ -75,11 +73,8 @@ from .generator_probe import (
 )
 from .mc_simulator import (
     ExitEstimate,
-    PathResult,
     dt_convergence_study,
-    em_step,
     exit_probability,
-    simulate_path,
     wilson_interval,
 )
 

@@ -6,12 +6,11 @@ horizon: a shorter last window draws the leading rows of the full window, so
 every increment equals the one a full-window draw gives. A block derives the
 Philox keys of all its paths in one vectorised hash (seeds.path_keys), and a
 model with no noise channels draws no increments at all. Every time step runs in
-one block loop, _simulate_block, and a path simulated alone is a block of one,
-so it matches the same path inside any batch bit for bit by construction.
-exit_probability and final_states run their paths on every CPU in the
-process's affinity mask through sharding.split_rows (_simulate_rows).
-Estimates are bit-identical for any CPU count, and any single path can be
-replayed in isolation.
+one block loop, _simulate_block. exit_probability and final_states run their
+paths on every CPU in the process's affinity mask through sharding.split_rows
+(_simulate_rows), so estimates are bit-identical for any CPU count. Path i
+replays alone as a one-row _simulate_block(model, domain, x[None], T, dt, seed,
+i), which matches row i of any batch bit for bit by construction.
 """
 
 from __future__ import annotations
@@ -34,14 +33,6 @@ Z95 = 1.959963984540054
 
 
 @dataclass(frozen=True)
-class PathResult:
-    exited: bool
-    exit_time: float | None
-    final_state: np.ndarray
-    steps_taken: int
-
-
-@dataclass(frozen=True)
 class ExitEstimate:
     n_paths: int
     n_exits: int
@@ -55,9 +46,11 @@ class ExitEstimate:
 
 
 def wilson_interval(k: int, n: int) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion."""
+    """95% Wilson score interval for k successes in n trials."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not isinstance(k, (int, np.integer)) or not 0 <= k <= n:
+        raise ValueError(f"need an integer k with 0 <= k <= n, got k={k!r} and n={n}")
     p, z = k / n, Z95
     denom = 1.0 + z * z / n
     center = (p + z * z / (2.0 * n)) / denom
@@ -65,20 +58,6 @@ def wilson_interval(k: int, n: int) -> tuple[float, float]:
     lo = max(0.0, center - half)
     hi = min(1.0, center + half)
     return float(min(lo, p)), float(max(hi, p))
-
-
-def em_step(model: SdeModel, t: float, x, dt: float, dW) -> np.ndarray:
-    """One explicit Euler-Maruyama step; dW carries the sqrt(dt) scaling.
-
-    Works on a single state (n,) or a batch (m, n) with dW of matching shape.
-    Raises NonFinite when the step leaves the representable range.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    out = _em_update(model, t, np.asarray(x, float), dt, np.asarray(dW, float))
-    if not np.all(np.isfinite(out)):
-        raise NonFinite("state overflowed during an Euler-Maruyama step")
-    return out
 
 
 def _em_update(model, t, x, dt, dW):
@@ -205,35 +184,6 @@ def _simulate_rows(model, domain, starts, T, dt, seed):
     return sharding.split_rows(run, len(starts))
 
 
-def simulate_path(
-    model: SdeModel,
-    domain: ImplicitDomain,
-    x0,
-    T: float,
-    dt: float,
-    seed: int,
-    path_index: int = 0,
-) -> PathResult:
-    """Simulate one path until the horizon or the first exit.
-
-    Exit is detected by the domain level function after each step, so the
-    recorded exit time has resolution dt (no within-step interpolation). The
-    path is a block of one inside the batch loop, drawing from the stream
-    keyed by (seed, path_index).
-    """
-    x = np.asarray(x0, dtype=float)
-    if signed_level(domain, x) > 0.0:
-        raise ImmediateExit(f"start point {x!r} lies outside the domain")
-    states, steps, exited, nonfinite = _simulate_block(
-        model, domain, x[None, :], T, dt, seed, path_index
-    )
-    if nonfinite[0]:
-        raise NonFinite("state overflowed during an Euler-Maruyama step")
-    taken = int(steps[0])
-    exit_time = taken * dt if exited[0] else None
-    return PathResult(bool(exited[0]), exit_time, states[0], taken)
-
-
 def exit_probability(
     model: SdeModel,
     domain: ImplicitDomain,
@@ -249,11 +199,14 @@ def exit_probability(
     bit-identical for any CPU count (see _simulate_rows). Paths run
     _n_steps(T, dt) steps, to the horizon round(T / dt) * dt, while the
     estimate reports T as given. Paths that overflow are counted in
-    n_nonfinite and excluded from the exit count.
+    n_nonfinite and excluded from the exit count. x0 must be a vector of
+    domain.dimension entries.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (domain.dimension,):
+        raise ValueError(f"x0 has shape {x0.shape}, the domain needs ({domain.dimension},)")
     if signed_level(domain, x0) > 0.0:
         raise ImmediateExit(f"start point {x0!r} lies outside the domain")
     _, _, exited, nonfinite = _simulate_rows(

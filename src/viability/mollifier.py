@@ -251,19 +251,14 @@ def _lattice_axes(x: np.ndarray, eps: float, d: float) -> list:
     return axes
 
 
-def _lattice_window(x: np.ndarray, eps: float, d: float):
-    """The nodes of _lattice_axes(x, eps, d) as rows, last axis fastest."""
-    grids = np.meshgrid(*_lattice_axes(x, eps, d), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
-
-
 def _support_nodes(x: np.ndarray, eps: float, d: float):
-    """The nodes of _lattice_window(x, eps, d) with |x - z| < eps.
+    """The nodes of the window _lattice_axes(x, eps, d) with |x - z| < eps.
 
-    Returns (Z, V, rows, total): the kept nodes and their offsets x - z as
-    rows, their positions in the window and the window's size. Offsets and
-    |x - z|^2 are formed per axis and broadcast over the window, in the same
-    operations, and so with the same bits, as from the window's rows.
+    The window is the product of the axes, last axis fastest. Returns (Z, V,
+    rows, total): the kept nodes and their offsets x - z as rows, their
+    positions in the window and the window's size. Offsets and |x - z|^2 are
+    formed per axis and broadcast over the window, in the same operations,
+    and so with the same bits, as from the window's rows.
     """
     axes = _lattice_axes(x, eps, d)
     offsets = [xi - z for xi, z in zip(x, axes)]
@@ -402,11 +397,6 @@ def eta_gradient(ind: SmoothedIndicator, x) -> np.ndarray:
     return grad
 
 
-def eta_hessian(ind: SmoothedIndicator, x) -> np.ndarray:
-    value, _, hess = _eta_core(ind, x, False, True)
-    return hess
-
-
 def eta_with_derivatives(ind: SmoothedIndicator, x):
     """(eta, gradient, hessian) from a single pass over the node set."""
     return _eta_core(ind, x, True, True)
@@ -432,6 +422,6 @@ def lattice_mass(spec: MollifierSpec, nodes_per_axis: int, x=None) -> float:
     n, eps = spec.dimension, spec.radius
     x = np.zeros(n) if x is None else np.asarray(x, dtype=float)
     d = 2.0 * eps / nodes_per_axis
-    Z = _lattice_window(x, eps, d)
-    v2 = np.sum((x[None, :] - Z) ** 2, axis=1)
-    return float(np.sum(spec.c_eps * _bump_values(v2, eps)) * d**n)
+    _, V, rows, total = _support_nodes(x, eps, d)
+    w = spec.c_eps * _bump_values(np.sum(V * V, axis=1), eps)
+    return _zero_padded_sum(w, rows, total) * d**n

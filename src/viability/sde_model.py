@@ -181,11 +181,6 @@ def _affine(M: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
     return sum((x[..., j, None] * M[:, j] for j in range(M.shape[1])), v)
 
 
-def zero(dimension: int) -> SdeModel:
-    """All coefficients zero (frozen paths)."""
-    return linear(np.zeros((dimension, dimension)))
-
-
 def outward(dimension: int, rate: float = 1.0) -> SdeModel:
     """Pure outward drift a = +rate * x, no noise; a negative control."""
     return linear(rate * np.eye(dimension))

@@ -378,6 +378,17 @@ def condition3_verdict(profile: Sequence[float], delta_margin: float = 1e-3) -> 
     return VERDICT_INCONCLUSIVE
 
 
+def _nonfinite_sups(condition: str, profile, eps_grid) -> list[str]:
+    """One errors entry per eps whose sup is NaN or infinite: the model
+    returned a non-finite coefficient at a sample, which the verdict alone
+    does not name."""
+    return [
+        f"{condition}: non-finite sup at eps={float(e)}"
+        for v, e in zip(profile, eps_grid)
+        if not np.isfinite(v)
+    ]
+
+
 def theorem1_report(
     model: SdeModel, domain: ImplicitDomain, config: CheckerConfig | None = None
 ) -> ConditionReport:
@@ -389,7 +400,8 @@ def theorem1_report(
     conditions take their sups over one draw of the offset samples, the one
     condition2_profile and condition3_profile each make alone. Failures
     inside one phase are recorded in the report and leave the other phases
-    intact; a failed draw is recorded for both conditions.
+    intact; a failed draw is recorded for both conditions, and a non-finite
+    sup is recorded with its eps, its verdict unchanged.
     """
     cfg = config or CheckerConfig()
     if model.dimension != domain.dimension:
@@ -437,6 +449,7 @@ def theorem1_report(
             report.cond2_verdict = condition2_verdict(
                 prof2, cfg.eps_grid, cfg.delta_abs, cfg.p_min
             )
+            report.errors += _nonfinite_sups("condition2", prof2, cfg.eps_grid)
         except (ViabilityError, ValueError) as exc:
             report.errors.append(f"condition2: {exc}")
 
@@ -444,6 +457,7 @@ def theorem1_report(
             prof3 = _profile(domain, cfg.eps_grid, stages, cfg.time_grid, _pressure(model))
             report.cond3_sup = [float(v) for v in prof3]
             report.cond3_verdict = condition3_verdict(prof3, cfg.delta_margin)
+            report.errors += _nonfinite_sups("condition3", prof3, cfg.eps_grid)
         except (ViabilityError, ValueError) as exc:
             report.errors.append(f"condition3: {exc}")
 

@@ -17,7 +17,7 @@ def indicator(eps, nodes=24):
 
 
 def test_apply_generator_zero_model_is_zero():
-    model = sde_model.zero(2)
+    model = sde_model.linear(np.zeros((2, 2)))
     ind = indicator(0.1)
     for x in ([0.0, 0.0], [1.15, 0.0], [0.8, 0.8]):
         assert generator_probe.apply_generator(model, ind, 0.0, x) == 0.0
@@ -76,7 +76,8 @@ def test_shell_sign_check_rejects_outward_drift():
 
 def test_shell_sign_check_zero_model_is_exact():
     result = generator_probe.shell_sign_check(
-        sde_model.zero(2), unit_ball(), eps=0.1, s=0.0, n_points=20, seed=7
+        sde_model.linear(np.zeros((2, 2))), unit_ball(), eps=0.1, s=0.0,
+        n_points=20, seed=7,
     )
     assert np.all(result.values == 0.0)
     assert result.tolerance_used == 0.0
@@ -277,7 +278,7 @@ def test_statement5_gap_tightens_as_eps_shrinks():
 
 def test_lemma1_gap_zero_model_is_exactly_zero():
     gap, se = generator_probe.lemma1_gap(
-        sde_model.zero(2), unit_ball(), eps=0.1, t_final=0.5, dt=0.05,
+        sde_model.linear(np.zeros((2, 2))), unit_ball(), eps=0.1, t_final=0.5, dt=0.05,
         n_paths=50, seed=3,
     )
     assert gap == 0.0

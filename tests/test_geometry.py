@@ -28,7 +28,7 @@ BUILT_IN_KINDS = [
 
 
 def test_signed_level_batch_matches_scalar():
-    # Bit for bit: simulate_path, a block of one, must stop where its row
+    # Bit for bit: a path replayed as a one-row block must stop where its row
     # in a batch stops.
     rng = np.random.default_rng(3)
     for d in BUILT_IN_KINDS:

@@ -20,8 +20,9 @@ def test_wilson_interval_basic_properties():
     assert lo0 == 0.0 and hi0 > 0.0
     lon, hin = mc_simulator.wilson_interval(100, 100)
     assert hin == 1.0 and lon < 1.0
-    with pytest.raises(ValueError):
-        mc_simulator.wilson_interval(0, 0)
+    for k, n in ((0, 0), (5, 3), (-1, 10), (2.5, 10)):
+        with pytest.raises(ValueError):
+            mc_simulator.wilson_interval(k, n)
 
 
 @settings(max_examples=100, deadline=None)
@@ -46,17 +47,45 @@ def test_wilson_interval_mirror_symmetry():
     assert hi2 == pytest.approx(1.0 - lo, abs=1e-12)
 
 
+def _zero_model(n):
+    """All coefficients zero (frozen paths), with n noise channels."""
+    return sde_model.linear(np.zeros((n, n)))
+
+
+def em_step(model, t, x, dt, dW):
+    """One explicit Euler-Maruyama step; dW carries the sqrt(dt) scaling.
+
+    Works on a single state (n,) or a batch (m, n) with dW of matching shape.
+    Raises NonFinite when the step leaves the representable range. The
+    reference the block loop is checked against.
+    """
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    out = mc_simulator._em_update(model, t, np.asarray(x, float), dt, np.asarray(dW, float))
+    if not np.all(np.isfinite(out)):
+        raise NonFinite("state overflowed during an Euler-Maruyama step")
+    return out
+
+
+def _replay(model, domain, x, T, dt, seed, path_index=0):
+    """Path path_index alone: a one-row _simulate_block. Returns its (state,
+    steps, exited, nonfinite)."""
+    x = np.asarray(x, dtype=float)
+    out = mc_simulator._simulate_block(model, domain, x[None], T, dt, seed, path_index)
+    return [a[0] for a in out]
+
+
 def test_em_step_zero_model_is_identity():
-    model = sde_model.zero(2)
+    model = _zero_model(2)
     x = np.array([0.3, -0.7])
-    out = mc_simulator.em_step(model, 0.0, x, 0.01, np.zeros(2))
+    out = em_step(model, 0.0, x, 0.01, np.zeros(2))
     np.testing.assert_array_equal(out, x)
 
 
 def test_em_step_pure_drift():
     model = sde_model.ou_inward(2, rate=2.0)
     x = np.array([1.0, -1.0])
-    out = mc_simulator.em_step(model, 0.0, x, 0.1, np.zeros(2))
+    out = em_step(model, 0.0, x, 0.1, np.zeros(2))
     np.testing.assert_allclose(out, x - 0.2 * x, atol=1e-15)
 
 
@@ -64,7 +93,7 @@ def test_em_step_diffusion_uses_increments():
     model = sde_model.brownian(2, scale=3.0)
     x = np.zeros(2)
     dW = np.array([0.5, -0.2])
-    out = mc_simulator.em_step(model, 0.0, x, 0.01, dW)
+    out = em_step(model, 0.0, x, 0.01, dW)
     np.testing.assert_allclose(out, 3.0 * dW, atol=1e-15)
 
 
@@ -83,19 +112,19 @@ def test_em_step_batch_matches_single():
     X = rng.uniform(-1.0, 1.0, size=(6, 2))
     dW = rng.normal(size=(6, 2)) * 0.1
     for model in (sde_model.rotational(spin=1.2, inward_rate=0.4), _affine_model()):
-        batch = mc_simulator.em_step(model, 0.3, X, 0.01, dW)
+        batch = em_step(model, 0.3, X, 0.01, dW)
         for i in range(6):
-            single = mc_simulator.em_step(model, 0.3, X[i], 0.01, dW[i])
+            single = em_step(model, 0.3, X[i], 0.01, dW[i])
             np.testing.assert_array_equal(batch[i], single)
 
 
 def test_em_step_rejects_bad_dt_and_overflow():
     model = sde_model.outward(1, rate=1.0)
     with pytest.raises(ValueError):
-        mc_simulator.em_step(model, 0.0, np.array([1.0]), 0.0, np.zeros(1))
+        em_step(model, 0.0, np.array([1.0]), 0.0, np.zeros(1))
     with np.errstate(over="ignore"):
         with pytest.raises(NonFinite):
-            mc_simulator.em_step(model, 0.0, np.array([1e308]), 2.0, np.zeros(1))
+            em_step(model, 0.0, np.array([1e308]), 2.0, np.zeros(1))
 
 
 def test_deterministic_path_first_order_accuracy():
@@ -106,9 +135,9 @@ def test_deterministic_path_first_order_accuracy():
     exact = np.exp(-1.0)
     errors = []
     for dt in (0.01, 0.005, 0.0025):
-        res = mc_simulator.simulate_path(model, domain, [1.0], 1.0, dt, seed=1)
-        assert not res.exited
-        errors.append(abs(res.final_state[0] - exact))
+        state, _, exited, _ = _replay(model, domain, [1.0], 1.0, dt, seed=1)
+        assert not exited
+        errors.append(abs(state[0] - exact))
     assert errors[0] / errors[1] == pytest.approx(2.0, abs=0.3)
     assert errors[1] / errors[2] == pytest.approx(2.0, abs=0.3)
 
@@ -117,10 +146,11 @@ def test_exit_time_of_outward_flow():
     # x' = x from x0 = 1 crosses radius 2 at t = ln 2
     model = sde_model.outward(1, rate=1.0)
     domain = geometry.ball([0.0], 2.0)
-    res = mc_simulator.simulate_path(model, domain, [1.0], 2.0, 1e-3, seed=1)
-    assert res.exited
-    assert res.exit_time == pytest.approx(np.log(2.0), abs=2e-3)
-    assert res.steps_taken == round(res.exit_time / 1e-3)
+    _, steps, exited, _ = _replay(model, domain, [1.0], 2.0, 1e-3, seed=1)
+    exit_time = steps * 1e-3
+    assert exited
+    assert exit_time == pytest.approx(np.log(2.0), abs=2e-3)
+    assert steps == round(exit_time / 1e-3)
 
 
 def test_contraction_never_exits():
@@ -157,11 +187,11 @@ def test_isolated_path_matches_blocked_rows():
     for model in (sde_model.brownian(2), _affine_model()):
         finals = mc_simulator.final_states(model, starts, T=0.1, dt=0.01, seed=21)
         for i in range(5):
-            solo = mc_simulator.simulate_path(
+            state, _, exited, _ = _replay(
                 model, huge, starts[i], 0.1, 0.01, seed=21, path_index=i
             )
-            assert not solo.exited
-            np.testing.assert_array_equal(solo.final_state, finals[i])
+            assert not exited
+            np.testing.assert_array_equal(state, finals[i])
 
 
 def test_isolated_exiting_paths_match_kernel_rows(monkeypatch):
@@ -181,12 +211,12 @@ def test_isolated_exiting_paths_match_kernel_rows(monkeypatch):
     assert len(set(exit_steps)) == exited.sum()
     assert exit_steps.min() < mc_simulator.WINDOW < exit_steps.max()
     for i in range(n_paths):
-        solo = mc_simulator.simulate_path(
+        solo_state, solo_steps, solo_exited, _ = _replay(
             model, domain, starts[i], T, dt, seed=seed, path_index=i
         )
-        assert solo.exited == exited[i]
-        assert solo.steps_taken == steps[i]
-        np.testing.assert_array_equal(solo.final_state, states[i])
+        assert solo_exited == exited[i]
+        assert solo_steps == steps[i]
+        np.testing.assert_array_equal(solo_state, states[i])
     monkeypatch.setattr(mc_simulator, "BLOCK", 7)
     est = mc_simulator.exit_probability(model, domain, [0.5, 0.0], T, dt, n_paths, seed)
     assert est.n_exits == exited.sum()
@@ -205,7 +235,7 @@ def test_span_generator_draws_what_path_generator_draws(monkeypatch):
     monkeypatch.setattr(mc_simulator, "_em_update", recording_update)
     starts = np.zeros((4, 2))
     mc_simulator._simulate_block(
-        sde_model.zero(2), None, starts, float(W + extra), 1.0, seed, first_index
+        _zero_model(2), None, starts, float(W + extra), 1.0, seed, first_index
     )
     drawn = np.stack(recorded, axis=1)  # (path, step, channel); sqrt(dt) = 1
     assert drawn.shape == (4, W + extra, 2)
@@ -324,7 +354,8 @@ def test_failing_span_raises_in_caller_and_leaves_no_child(monkeypatch, failing_
 
 
 def _full_window_reference(model, domain, starts, n_steps, dt, seed, first_index):
-    """Each path alone: whole (WINDOW, n) windows from its stream, em_step."""
+    """Each path alone: whole (WINDOW, n) windows from its stream, em_step
+    (the copy above)."""
     W = mc_simulator.WINDOW
     states = np.array(starts, dtype=float)
     steps = np.full(len(starts), n_steps)
@@ -335,7 +366,7 @@ def _full_window_reference(model, domain, starts, n_steps, dt, seed, first_index
         for s in range(n_steps):
             if s % W == 0:
                 dW = gen.standard_normal((W, x.size)) * np.sqrt(dt)
-            x = mc_simulator.em_step(model, s * dt, x, dt, dW[s % W])
+            x = em_step(model, s * dt, x, dt, dW[s % W])
             if domain is not None and geometry.signed_level(domain, x[None])[0] > 0.0:
                 exited[i], steps[i] = True, s + 1
                 break
@@ -392,7 +423,7 @@ def test_brownian_final_state_statistics():
 
 
 def test_dt_convergence_study_zero_model():
-    model = sde_model.zero(2)
+    model = _zero_model(2)
     domain = geometry.ball([0.0, 0.0], 1.0)
     out = mc_simulator.dt_convergence_study(
         model, domain, [0.0, 0.0], T=0.1, dt_list=[0.05, 0.025], n_paths=10, seed=1
@@ -408,12 +439,31 @@ def test_dt_convergence_study_zero_model():
 def test_start_outside_domain_raises():
     model = sde_model.brownian(2)
     domain = geometry.ball([0.0, 0.0], 1.0)
+    for n_paths in (1, 10):
+        with pytest.raises(ImmediateExit):
+            mc_simulator.exit_probability(
+                model, domain, [2.0, 0.0], T=1.0, dt=0.01, n_paths=n_paths, seed=1
+            )
     with pytest.raises(ImmediateExit):
-        mc_simulator.simulate_path(model, domain, [2.0, 0.0], 1.0, 0.01, seed=1)
-    with pytest.raises(ImmediateExit):
-        mc_simulator.exit_probability(
-            model, domain, [2.0, 0.0], T=1.0, dt=0.01, n_paths=10, seed=1
+        mc_simulator.dt_convergence_study(
+            model, domain, [2.0, 0.0], T=1.0, dt_list=[0.01], n_paths=10, seed=1
         )
+
+
+def test_x0_of_the_wrong_shape_is_refused():
+    """A start point must have the domain's dimension: a 1-D x0 on a disk
+    would broadcast against the disk's centre."""
+    model = sde_model.ou_inward(2)
+    domain = geometry.ball([0.5, 0.0], 1.0)
+    for x0, shape in (([0.1], r"\(1,\)"), ([[0.5, 0.0]], r"\(1, 2\)"), (0.5, r"\(\)")):
+        with pytest.raises(ValueError, match=shape + r".*\(2,\)"):
+            mc_simulator.exit_probability(model, domain, x0, T=1.0, dt=0.1, n_paths=4, seed=1)
+        with pytest.raises(ValueError, match=shape + r".*\(2,\)"):
+            mc_simulator.dt_convergence_study(
+                model, domain, x0, T=1.0, dt_list=[0.1, 0.05], n_paths=4, seed=1
+            )
+    est = mc_simulator.exit_probability(model, domain, [0.5, 0.0], T=1.0, dt=0.1, n_paths=4, seed=1)
+    assert est.n_exits == 0
 
 
 # The simulator reads a domain's level only, so a domain built for it alone
@@ -482,30 +532,34 @@ def test_overflow_on_builtin_domains_is_nonfinite_not_exit(domain):
         est = mc_simulator.exit_probability(
             model, domain, [5.0, 0.0], T=1.0, dt=0.5, n_paths=3, seed=1
         )
-        with pytest.raises(NonFinite):
-            mc_simulator.simulate_path(model, domain, [5.0, 0.0], 1.0, 0.5, seed=1)
+        _, steps, exited, nonfinite = _replay(model, domain, [5.0, 0.0], 1.0, 0.5, seed=1)
     assert est.n_nonfinite == 3
     assert est.n_exits == 0
+    assert nonfinite and not exited and steps == 1
 
 
 def test_overflow_raises_for_single_path_and_final_states():
+    """One overflowing path: final_states raises, and exit_probability
+    counts it as non-finite."""
     model = sde_model.outward(1, rate=50.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFinite):
-            mc_simulator.simulate_path(
-                model, _whole_space(1), [1.0], 200.0, 1.0, seed=1
-            )
-        with pytest.raises(NonFinite):
-            mc_simulator.final_states(model, np.array([[1.0]]), 200.0, 1.0, seed=1)
+        est = mc_simulator.exit_probability(
+            model, _whole_space(1), [1.0], T=200.0, dt=1.0, n_paths=1, seed=1
+        )
+        for starts in (np.array([[1.0]]), np.array([[0.5], [1.0]])):
+            with pytest.raises(NonFinite):
+                mc_simulator.final_states(model, starts, 200.0, 1.0, seed=1)
+    assert est.n_nonfinite == 1 and est.n_exits == 0
 
 
 def test_invalid_time_parameters():
-    model = sde_model.zero(1)
+    model = _zero_model(1)
     domain = geometry.ball([0.0], 1.0)
-    with pytest.raises(ValueError):
-        mc_simulator.simulate_path(model, domain, [0.0], 1.0, 2.0, seed=1)
-    with pytest.raises(ValueError):
-        mc_simulator.simulate_path(model, domain, [0.0], 0.0, 0.1, seed=1)
+    for T, dt in ((1.0, 2.0), (0.0, 0.1), (1.0, 0.0), (1.0, -0.1)):
+        with pytest.raises(ValueError):
+            mc_simulator.exit_probability(model, domain, [0.0], T, dt, n_paths=1, seed=1)
+        with pytest.raises(ValueError):
+            mc_simulator.final_states(model, np.zeros((1, 1)), T, dt, seed=1)
     with pytest.raises(ValueError):
         mc_simulator.exit_probability(
             model, domain, [0.0], T=1.0, dt=0.1, n_paths=0, seed=1

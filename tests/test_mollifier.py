@@ -103,6 +103,31 @@ def test_lattice_mass_cross_checks_normalization(n, tol):
     assert abs(mollifier.lattice_mass(spec, 64) - 1.0) < tol
 
 
+def _reference_lattice_mass(spec, nodes_per_axis, x):
+    """Integral of omega_eps over every node of the window, including those
+    beyond the bump's support: the full-window sum, kept verbatim."""
+    n, eps = spec.dimension, spec.radius
+    x = np.asarray(x, dtype=float)
+    d = 2.0 * eps / nodes_per_axis
+    Z = _reference_lattice_window(x, eps, d)
+    v2 = np.sum((x[None, :] - Z) ** 2, axis=1)
+    return float(np.sum(spec.c_eps * mollifier._bump_values(v2, eps)) * d**n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lattice_mass_matches_the_full_window_sum_bit_for_bit(n):
+    """Summing only the support nodes, zero-padded to the window, gives the
+    full-window sum's bits, on centred and off-centre bumps."""
+    rng = np.random.default_rng(n)
+    centres = [np.zeros(n)] + [rng.uniform(-2.0, 2.0, n) for _ in range(3)]
+    for nodes in (4, 7, 24):
+        for eps in (0.05, 0.3, 1.0):
+            spec = mollifier.make_spec(n, eps)
+            for x in centres:
+                got = mollifier.lattice_mass(spec, nodes, x)
+                assert got.hex() == _reference_lattice_mass(spec, nodes, x).hex()
+
+
 def test_lattice_mass_insensitive_to_bump_center():
     # the lattice is anchored at the origin, not at the bump center
     spec = mollifier.make_spec(2, 0.3)
@@ -235,10 +260,10 @@ def test_eta_gradient_zero_in_constant_regions():
     ind = _unit_ball_indicator(0.1)
     # deep inside, the normalization quotient cancels up to rounding residue
     assert np.abs(mollifier.eta_gradient(ind, [0.1, 0.2])).max() <= 1e-14
-    assert np.abs(mollifier.eta_hessian(ind, [0.1, 0.2])).max() <= 1e-10
+    assert np.abs(mollifier.eta_with_derivatives(ind, [0.1, 0.2])[2]).max() <= 1e-10
     # outside the outer offset the weighted sums are exactly zero
     assert np.all(mollifier.eta_gradient(ind, [2.0, 0.0]) == 0.0)
-    assert np.all(mollifier.eta_hessian(ind, [2.0, 0.0]) == 0.0)
+    assert np.all(mollifier.eta_with_derivatives(ind, [2.0, 0.0])[2] == 0.0)
 
 
 def test_eta_gradient_matches_finite_differences_on_shell():
@@ -262,7 +287,7 @@ def test_eta_gradient_matches_finite_differences_on_shell():
 def test_eta_hessian_matches_gradient_differences_on_shell():
     ind = _unit_ball_indicator(0.1, nodes=32)
     x = 1.2 * np.array([np.cos(0.9), np.sin(0.9)])
-    hess = mollifier.eta_hessian(ind, x)
+    hess = mollifier.eta_with_derivatives(ind, x)[2]
     assert np.allclose(hess, hess.T, atol=0.0)
     h = 1e-6
     fd = np.zeros((2, 2))
@@ -348,7 +373,7 @@ def test_membership_fractions_match_per_node_projection(domain, x):
     # (fraction 1) and nodes beyond the distance lower bound (fraction 0)
     # are skipped by the batch, so this checks that both shortcuts are exact.
     ind = mollifier.SmoothedIndicator(domain, 0.1, nodes_per_axis=8)
-    Z = mollifier._lattice_window(np.asarray(x), ind.eps, ind.spacing)
+    Z = _reference_lattice_window(np.asarray(x), ind.eps, ind.spacing)
     sd = np.array([geometry.signed_boundary_distance(domain, z) for z in Z])
     expect = np.clip(0.5 - (sd - 2.0 * ind.eps) / ind.spacing, 0.0, 1.0)
     got = mollifier._membership_fractions(ind, Z)

@@ -28,7 +28,7 @@ def test_sigma_brownian_is_scaled_identity():
 
 
 def test_sigma_zero_model():
-    model = sde_model.zero(2)
+    model = sde_model.linear(np.zeros((2, 2)))
     assert np.all(sde_model.sigma(model, 0.0, [5.0, 5.0]) == 0.0)
 
 
@@ -85,7 +85,7 @@ FAMILIES = [
         ),
         2,
     ),
-    (sde_model.zero(2), 2),
+    (sde_model.linear(np.zeros((2, 2))), 2),
 ]
 FAMILY_IDS = ["brownian", "ou_inward", "rotational", "linear", "zero"]
 
@@ -185,7 +185,7 @@ def test_check_regularity_refutes_too_small_bound():
 
 
 def test_check_regularity_zero_model_always_passes():
-    model = sde_model.zero(2)
+    model = sde_model.linear(np.zeros((2, 2)))
     report = sde_model.check_regularity(
         model, 1e-6, ([-5.0, -5.0], [5.0, 5.0]), pairs=50, seed=3
     )

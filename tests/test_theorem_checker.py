@@ -119,7 +119,7 @@ def test_condition3_value_pure_drift():
 
 
 def test_condition3_value_zero_model():
-    model = sde_model.zero(2)
+    model = sde_model.linear(np.zeros((2, 2)))
     sample = BoundarySample(
         point=np.array([1.1, 0.0]), normal=np.array([1.0, 0.0])
     )
@@ -444,7 +444,13 @@ def test_lockstep_sups_match_per_start_ascent_bit_for_bit(case):
         model, domain, CheckerConfig(eps_grid=EPS_GRID, samples_per_eps=count,
                                      time_grid=times, seed=seed)
     )
-    assert report.errors == []
+    # a non-finite sup is named in the errors, each eps once; no other error
+    assert report.errors == [
+        f"condition{c}: non-finite sup at eps={eps}"
+        for c, prof in ((2, per_start[0]), (3, per_start[1]))
+        for v, eps in zip(prof, EPS_GRID)
+        if not np.isfinite(v)
+    ]
     for old, new in zip(per_start, lockstep):
         assert np.array(new).tobytes() == np.array(old).tobytes()
     assert np.array(report.cond2_sup).tobytes() == np.array(per_start[0]).tobytes()
@@ -513,6 +519,32 @@ def test_theorem1_report_draws_the_offset_samples_once(monkeypatch):
     assert report.errors == []
     assert [eps for eps, _ in calls] == list(EPS_GRID)
     assert len({seed for _, seed in calls}) == len(EPS_GRID)
+
+
+@pytest.mark.parametrize(
+    "times, named",
+    [((0.0, 0.5), ["condition3"]), ((0.5,), ["condition2", "condition3"])],
+)
+def test_theorem1_report_names_each_non_finite_sup(times, named):
+    """A NaN coefficient at a sample makes that eps's sup NaN. The report
+    names each such eps in its errors and leaves the sups and verdicts as
+    the verdict rules give them."""
+    model = _nan_model()
+    cfg = CheckerConfig(samples_per_eps=24, time_grid=times, seed=7)
+    report = theorem_checker.theorem1_report(model, unit_ball(), cfg)
+    sups = {"condition2": report.cond2_sup, "condition3": report.cond3_sup}
+    for condition, prof in sups.items():
+        assert np.isnan(prof).all() if condition in named else np.isfinite(prof).all()
+    assert report.errors == [
+        f"{condition}: non-finite sup at eps={eps}" for condition in named for eps in EPS_GRID
+    ]
+    assert report.cond2_verdict == theorem_checker.condition2_verdict(
+        report.cond2_sup, report.eps_grid, report.delta_abs, report.p_min
+    )
+    assert report.cond3_verdict == theorem_checker.condition3_verdict(
+        report.cond3_sup, report.delta_margin
+    )
+    assert report.invariance_predicted is False
 
 
 def test_theorem1_report_records_a_failed_draw_for_both_conditions():
