@@ -6,7 +6,6 @@ threads=. Removing or renaming any of them breaks the benchmark while every
 other test still passes, so they are checked here.
 """
 
-import importlib
 import importlib.util
 import inspect
 from pathlib import Path
@@ -27,14 +26,12 @@ def tracing():
 
 
 def test_every_traced_name_exists(tracing):
-    assert tracing.TRACED
-    for module, attr, _ in tracing.TRACED:
-        assert callable(getattr(importlib.import_module(f"viability.{module}"), attr, None)), (
-            f"viability.{module}.{attr}"
-        )
-    for _, entry in tracing.STAGES.values():
-        module, attr = entry.split(".")
-        assert callable(getattr(importlib.import_module(f"viability.{module}"), attr, None)), entry
+    names = [(module, attr) for module, attr, _ in tracing.TRACED]
+    names += [tuple(entry.split(".")) for _, entry in tracing.STAGES.values()]
+    assert names
+    for module, attr in names:
+        found = getattr(importlib.import_module(f"viability.{module}"), attr, None)
+        assert callable(found), f"viability.{module}.{attr}"
 
 
 def test_run_takes_what_the_benchmark_worker_passes():
