@@ -100,10 +100,12 @@ def shell_sign_check(
     Probe points combine area-weighted boundary directions with distances
     drawn uniformly from (eps, 3 eps), so every point carries the shell region
     tag. The tolerance is default_shell_tolerance scaled by tol_shell_factor.
-    The result is bit-identical for a fixed seed on any CPU count.
+    The result is bit-identical for a fixed seed on any CPU count. The model
+    must have the domain's dimension.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
+    sde_model.require_dimension(model, domain.dimension, "the domain")
     feet = geometry.sample_offset_boundary(
         domain, 0.0, n_points, child_seed(seed, 0)
     )

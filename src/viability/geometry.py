@@ -9,6 +9,7 @@ the boundary; for non-spherical domains this differs from the level-set offset
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,7 +47,9 @@ class ImplicitDomain:
     - project: a closed-form projection X -> (feet, distances), or None for
       the batched Newton iteration of project_to_boundary_batch;
     - signed_distance: a closed-form signed Euclidean distance of rows, or
-      None for the distance found by projection.
+      None for the distance found by projection;
+    - outside: a closed-form test of which rows lie outside K, exactly
+      level > 0 row for row, or None for that comparison itself.
     A new kind is therefore one builder plus one KINDS entry; kind is its
     name only.
 
@@ -67,6 +70,7 @@ class ImplicitDomain:
     boundary_points: Callable[[np.random.Generator, int], np.ndarray]
     project: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     signed_distance: Callable[[np.ndarray], np.ndarray] | None = None
+    outside: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def _row_sum(v: np.ndarray) -> np.ndarray:
@@ -130,6 +134,21 @@ def ball(center, radius: float) -> ImplicitDomain:
         length = row_norm(U)
         return c + r * _unit_rows(U, length), np.abs(length - r)
 
+    r2 = _sqrt_threshold(r)
+
+    def outside(X):
+        # The level's sum of squares s, without its sqrt: sqrt(s) - r > 0
+        # exactly when the rounded sqrt(s) exceeds r, that is when s > r2.
+        # Summed column by column, in _row_sum's order: X - c would
+        # broadcast c over the short last axis, which NumPy runs n elements
+        # at a time, at twice the cost of the whole test for n = 2.
+        X = np.asarray(X, dtype=float)
+        s = 0.0
+        for j in range(n):
+            u = X[..., j] - c[j]
+            s = s + u * u
+        return s > r2
+
     return ImplicitDomain(
         n, "ball", c, level, grad, hess,
         bounding_radius=r,
@@ -138,7 +157,21 @@ def ball(center, radius: float) -> ImplicitDomain:
         boundary_points=lambda rng, count: c[None, :] + r * _unit_directions(rng, count, n),
         project=project,
         signed_distance=level,
+        outside=outside,
     )
+
+
+def _sqrt_threshold(r: float) -> float:
+    """The largest double t whose rounded sqrt is at most r. The rounded sqrt
+    is monotone, so sqrt(s) > r exactly when s > t. t is r * r or an ulp or
+    two from it, and not always r * r: for r = 1.0 it is 1.0000000000000002.
+    """
+    t = r * r
+    while math.sqrt(t) > r:
+        t = math.nextafter(t, -math.inf)
+    while t < math.inf and math.sqrt(math.nextafter(t, math.inf)) <= r:
+        t = math.nextafter(t, math.inf)
+    return t
 
 
 def ellipsoid(center, semiaxes) -> ImplicitDomain:

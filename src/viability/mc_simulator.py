@@ -1,11 +1,12 @@
 """Euler-Maruyama simulation, first-exit detection, and exit-probability CIs.
 
-Every path owns a counter-based random stream keyed by (seed, path index), and
-increments are drawn in fixed windows of WINDOW steps, each only up to the
+Every path owns a counter-based random stream keyed by (seed, path index) and
+draws k normals per step, one per noise channel, in (step, channel) order.
+Increments are drawn in fixed windows of WINDOW steps, each only up to the
 horizon: a shorter last window draws the leading rows of the full window, so
 every increment equals the one a full-window draw gives. A block derives the
 Philox keys of all its paths in one vectorised hash (seeds.path_keys), and a
-model with no noise channels draws no increments at all. Every time step runs in
+model with no noise channels (k = 0) draws nothing. Every time step runs in
 one block loop, _simulate_block. exit_probability and final_states run their
 paths on every CPU in the process's affinity mask through sharding.split_rows
 (_simulate_rows), so estimates are bit-identical for any CPU count. Path i
@@ -23,11 +24,12 @@ import numpy as np
 from . import sharding
 from .errors import ImmediateExit, NonFinite
 from .geometry import ImplicitDomain, signed_level
-from .sde_model import SdeModel
+from .sde_model import SdeModel, require_dimension
 from .seeds import path_generator, path_keys
 
 WINDOW = 1024  # steps per increment draw; a path reads its stream in order, so
-# the width moves no increment and sets only the memory of a window
+# the width moves no increment and sets only the memory of a window, which
+# holds live paths x width x k doubles for k noise channels
 BLOCK = 2048  # paths simulated per vectorized block
 Z95 = 1.959963984540054
 
@@ -61,11 +63,14 @@ def wilson_interval(k: int, n: int) -> tuple[float, float]:
 
 
 def _em_update(model, t, x, dt, dW):
-    """x + a dt + sum_k b_k dW_k for a state (n,) or a batch (m, n)."""
-    out = x + model.drift(t, x) * dt
+    """x + a dt + sum_k b_k dW_k for a state (n,) or a batch (m, n), with dW
+    of shape (k,) or (m, k). Accumulated in place in one array: IEEE addition
+    is commutative, so a dt + x has the bits of x + a dt."""
+    out = model.drift(t, x) * dt
+    out += x
     b = model.diffusion(t, x)
     for k in range(b.shape[-1]):
-        out = out + b[..., k] * dW[..., k : k + 1]
+        out += b[..., k] * dW[..., k : k + 1]
     return out
 
 
@@ -88,6 +93,14 @@ def _check_dt_list(T: float, dt_list: Sequence[float]) -> np.ndarray:
     return arr
 
 
+def _exit_test(domain):
+    """X -> which rows of X lie outside the domain: the kind's closed form
+    domain.outside, else a positive signed_level."""
+    if domain.outside is not None:
+        return domain.outside
+    return lambda X: np.asarray(signed_level(domain, X)) > 0.0
+
+
 def _simulate_block(model, domain, starts, T, dt, seed, first_index):
     """The Euler-Maruyama time loop for a block of paths.
 
@@ -96,20 +109,22 @@ def _simulate_block(model, domain, starts, T, dt, seed, first_index):
     at once (seeds.path_keys: what Philox(SeedSequence(seed, (index,)))
     derives), holds one Philox generator and re-keys it for each path: the
     path's key with counter 0 on its first window, the state it left off at
-    on a later one. Each window draws a (width, n) array per live path,
-    width = min(WINDOW, steps left to the horizon), into one (live, width, n)
-    array; these are the leading rows of the full (WINDOW, n) window, so the
-    stream layout does not depend on the horizon. A model with no noise
-    channels (k = 0) reads no increments, so its block derives no keys and
-    draws nothing: dW is (live, width, 0). A path stops after the first
-    step that overflows or leaves the domain (never when domain is None).
+    on a later one. Each window draws a (width, k) array per live path, one
+    normal per step and noise channel, width = min(WINDOW, steps left to the
+    horizon), into one (live, width, k) array; these are the leading rows of
+    the full (WINDOW, k) window, so the stream layout does not depend on the
+    horizon. With k = 0 the block derives no keys and draws nothing. A path
+    stops after the first step that overflows or leaves the domain (never
+    when domain is None): domain.outside, when the kind has one, else a
+    positive signed_level.
     Returns per-path arrays (states, steps, exited, nonfinite): the state and
     step count at the stop or the horizon, and which of the two stops ended
     the path.
     """
     n_steps = _n_steps(T, dt)
-    B, n = starts.shape
+    B = len(starts)
     k = model.diffusion(0.0, starts[:1]).shape[-1]  # noise channels
+    outside = None if domain is None else _exit_test(domain)
     gen = path_generator(seed, first_index)
     fresh = gen.bit_generator.state  # counter 0; its key is swapped per path
     keys = path_keys(seed, np.arange(first_index, first_index + B)) if k else None
@@ -134,8 +149,8 @@ def _simulate_block(model, domain, starts, T, dt, seed, first_index):
         if not live.size:
             break
         width = min(WINDOW, n_steps - start)
-        dW = np.empty((live.size, width, n if k else 0))
-        for r, i in enumerate(live.tolist() if k else ()):  # k = 0: no draws
+        dW = np.empty((live.size, width, k))
+        for r, i in enumerate(live.tolist() if k else ()):
             if start:
                 gen.bit_generator.state = resume.pop(i)
             else:
@@ -152,8 +167,8 @@ def _simulate_block(model, domain, starts, T, dt, seed, first_index):
             x = _em_update(model, s * dt, x, dt, inc)
             if not np.isfinite(x).all():
                 stop(~np.isfinite(x).all(axis=1), nonfinite, s + 1)
-            if domain is not None:
-                out = np.asarray(signed_level(domain, x)) > 0.0
+            if outside is not None:
+                out = outside(x)
                 if out.any():
                     stop(out, exited, s + 1)
             if not live.size:
@@ -200,13 +215,14 @@ def exit_probability(
     _n_steps(T, dt) steps, to the horizon round(T / dt) * dt, while the
     estimate reports T as given. Paths that overflow are counted in
     n_nonfinite and excluded from the exit count. x0 must be a vector of
-    domain.dimension entries.
+    domain.dimension entries, and the model must have the domain's dimension.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (domain.dimension,):
         raise ValueError(f"x0 has shape {x0.shape}, the domain needs ({domain.dimension},)")
+    require_dimension(model, domain.dimension, "the domain")
     if signed_level(domain, x0) > 0.0:
         raise ImmediateExit(f"start point {x0!r} lies outside the domain")
     _, _, exited, nonfinite = _simulate_rows(
@@ -237,8 +253,12 @@ def final_states(
     """States at the horizon for a batch of start points, without exit stops.
 
     Row i uses the stream keyed by (seed, i), on any CPU (see _simulate_rows).
+    starts must be an (m, n) array for a model of dimension n.
     """
     starts = np.asarray(starts, dtype=float)
+    if starts.ndim != 2:
+        raise ValueError(f"starts has shape {starts.shape}, need (m, {model.dimension})")
+    require_dimension(model, starts.shape[1], "the start points")
     finals, _, _, nonfinite = _simulate_rows(model, None, starts, T, dt, seed)
     if nonfinite.any():
         raise NonFinite("a path overflowed before the horizon")

@@ -70,6 +70,13 @@ def _dimension(dimension) -> int:
     return n
 
 
+def require_dimension(model: SdeModel, n: int, what: str) -> None:
+    """A ValueError naming both dimensions unless the model's is n, the
+    dimension of `what` (the domain, or the start points)."""
+    if model.dimension != n:
+        raise ValueError(f"the model has dimension {model.dimension}, {what} {n}")
+
+
 def brownian(dimension: int, scale: float = 1.0) -> SdeModel:
     """Pure diffusion: a = 0, b = scale * I (n channels)."""
     n = _dimension(dimension)
@@ -120,7 +127,10 @@ def rotational(spin: float = 1.0, inward_rate: float = 1.0) -> SdeModel:
 
     def diffusion(t, x):
         x = np.asarray(x, dtype=float)
-        return np.stack([-s * x[..., 1], s * x[..., 0]], axis=-1)[..., None]
+        b = np.empty(x.shape + (1,))
+        np.multiply(x[..., 1], -s, out=b[..., 0, 0])
+        np.multiply(x[..., 0], s, out=b[..., 1, 0])
+        return b
 
     def jac(t, x):
         out = np.zeros((1, 2, 2))

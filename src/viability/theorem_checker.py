@@ -404,8 +404,7 @@ def theorem1_report(
     sup is recorded with its eps, its verdict unchanged.
     """
     cfg = config or CheckerConfig()
-    if model.dimension != domain.dimension:
-        raise ValueError("model and domain dimensions differ")
+    sde_model.require_dimension(model, domain.dimension, "the domain")
     _validate_grid(cfg.eps_grid)
 
     report = ConditionReport(

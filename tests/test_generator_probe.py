@@ -65,6 +65,12 @@ def test_shell_sign_check_accepts_tangential_model():
     assert np.all(result.distances > 0.1) and np.all(result.distances < 0.3)
 
 
+def test_shell_sign_check_refuses_a_model_of_another_dimension():
+    for model, n in ((sde_model.ou_inward(1), 1), (sde_model.brownian(3), 3)):
+        with pytest.raises(ValueError, match=f"model has dimension {n}, the domain 2"):
+            generator_probe.shell_sign_check(model, unit_ball(), eps=0.1, s=0.0, n_points=4, seed=7)
+
+
 def test_shell_sign_check_rejects_outward_drift():
     model = sde_model.outward(2, rate=1.0)
     result = generator_probe.shell_sign_check(

@@ -206,6 +206,26 @@ def test_ball_projection_matches_the_closed_form_bit_for_bit(center, radius):
         np.testing.assert_array_equal(dist, want_dist)
 
 
+@pytest.mark.parametrize(
+    "center,radius",
+    [([0.0, 0.0], 1.0), ([0.0, 0.0, 0.0], 0.7), ([0.0, 0.0], 3.7), ([0.3, -1.2, 2.5], 1.0)],
+)
+def test_ball_outside_is_exactly_a_positive_level_near_the_sphere(center, radius):
+    """The closed-form exit test compares the sum of squares with the largest
+    double whose rounded sqrt is at most r, not with r * r: on 50,000 points
+    within a few ulps of the sphere it gives every decision of
+    signed_level > 0, including sums of squares that r * r would call out."""
+    domain = geometry.ball(center, radius)
+    rng = np.random.default_rng(41)
+    u = rng.standard_normal((50_000, domain.dimension))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    ulps = rng.integers(-6, 7, size=50_000)[:, None]
+    X = domain.center + u * (radius * (1.0 + ulps * 2.0**-53))
+    by_level = geometry.signed_level(domain, X) > 0.0
+    assert 0 < by_level.sum() < len(X)
+    np.testing.assert_array_equal(domain.outside(X), by_level)
+
+
 def test_project_ellipsoid_axis_point():
     d = geometry.ellipsoid([0.0, 0.0], [2.0, 1.0])
     foot, dist = geometry.project_to_boundary(d, [3.0, 0.0])

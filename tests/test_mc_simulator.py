@@ -118,6 +118,34 @@ def test_em_step_batch_matches_single():
             np.testing.assert_array_equal(batch[i], single)
 
 
+def _em_out_of_place(model, t, x, dt, dW):
+    """The EM formula summed into fresh arrays: x + a dt, then + b_k dW_k."""
+    out = x + model.drift(t, x) * dt
+    b = model.diffusion(t, x)
+    for k in range(b.shape[-1]):
+        out = out + b[..., k] * dW[..., k : k + 1]
+    return out
+
+
+def test_em_update_in_place_has_the_bits_of_the_out_of_place_formula():
+    """Accumulating in one array reorders x + a dt to a dt + x, which IEEE
+    addition leaves bit for bit the same, for a batch and a single state."""
+    rng = np.random.default_rng(23)
+    X = rng.uniform(-3.0, 3.0, size=(500, 2))
+    models = (
+        sde_model.rotational(spin=1.3, inward_rate=0.7),
+        sde_model.brownian(2, scale=0.4),
+        sde_model.ou_inward(2, rate=1.9),
+        _affine_model(),
+    )
+    for model in models:
+        k = model.diffusion(0.0, X).shape[-1]
+        dW = rng.normal(size=(500, k)) * 0.03
+        for x, w in ((X, dW), (X[3], dW[3])):
+            new = mc_simulator._em_update(model, 0.2, x, 0.001, w)
+            assert new.tobytes() == _em_out_of_place(model, 0.2, x, 0.001, w).tobytes()
+
+
 def test_em_step_rejects_bad_dt_and_overflow():
     model = sde_model.outward(1, rate=1.0)
     with pytest.raises(ValueError):
@@ -223,8 +251,11 @@ def test_isolated_exiting_paths_match_kernel_rows(monkeypatch):
 
 
 def test_span_generator_draws_what_path_generator_draws(monkeypatch):
-    """The one re-keyed generator of a block hands each path, row for row
-    over two windows, the increments its own path_generator stream gives."""
+    """The one re-keyed generator of a block hands each path, over two
+    windows, the increments its own path_generator stream gives: k normals
+    per step, one per noise channel, in (step, channel) order. The zero
+    model has k = n = 2; rotational has one channel in two dimensions and
+    reads one normal per step."""
     W, extra, first_index, seed = mc_simulator.WINDOW, 37, 3, 19
     recorded = []
 
@@ -234,15 +265,16 @@ def test_span_generator_draws_what_path_generator_draws(monkeypatch):
 
     monkeypatch.setattr(mc_simulator, "_em_update", recording_update)
     starts = np.zeros((4, 2))
-    mc_simulator._simulate_block(
-        _zero_model(2), None, starts, float(W + extra), 1.0, seed, first_index
-    )
-    drawn = np.stack(recorded, axis=1)  # (path, step, channel); sqrt(dt) = 1
-    assert drawn.shape == (4, W + extra, 2)
-    for i in range(4):
-        gen = seeds.path_generator(seed, first_index + i)
-        ref = np.concatenate([gen.standard_normal((W, 2)), gen.standard_normal((extra, 2))])
-        assert drawn[i].tobytes() == ref.tobytes()
+    for model, k in ((_zero_model(2), 2), (sde_model.rotational(), 1)):
+        recorded.clear()
+        mc_simulator._simulate_block(
+            model, None, starts, float(W + extra), 1.0, seed, first_index
+        )
+        drawn = np.stack(recorded, axis=1)  # (path, step, channel); sqrt(dt) = 1
+        assert drawn.shape == (4, W + extra, k)
+        for i in range(4):
+            ref = seeds.path_generator(seed, first_index + i).standard_normal((W + extra, k))
+            assert drawn[i].tobytes() == ref.tobytes()
 
 
 def _leaky_model():
@@ -354,8 +386,8 @@ def test_failing_span_raises_in_caller_and_leaves_no_child(monkeypatch, failing_
 
 
 def _full_window_reference(model, domain, starts, n_steps, dt, seed, first_index):
-    """Each path alone: whole (WINDOW, n) windows from its stream, em_step
-    (the copy above)."""
+    """Each path alone: whole (WINDOW, k) windows from its stream, one normal
+    per step and noise channel, em_step (the copy above)."""
     W = mc_simulator.WINDOW
     states = np.array(starts, dtype=float)
     steps = np.full(len(starts), n_steps)
@@ -363,9 +395,10 @@ def _full_window_reference(model, domain, starts, n_steps, dt, seed, first_index
     for i in range(len(starts)):
         gen = seeds.path_generator(seed, first_index + i)
         x = states[i]
+        k = model.diffusion(0.0, x).shape[-1]
         for s in range(n_steps):
             if s % W == 0:
-                dW = gen.standard_normal((W, x.size)) * np.sqrt(dt)
+                dW = gen.standard_normal((W, k)) * np.sqrt(dt)
             x = em_step(model, s * dt, x, dt, dW[s % W])
             if domain is not None and geometry.signed_level(domain, x[None])[0] > 0.0:
                 exited[i], steps[i] = True, s + 1
@@ -374,30 +407,38 @@ def _full_window_reference(model, domain, starts, n_steps, dt, seed, first_index
     return states, steps, exited
 
 
+# (model, domain, starts): brownian has k = n = 3 noise channels; rotational
+# has k = 1 in two dimensions, and its tangential noise carries paths out of
+# a disk off the origin.
+REFERENCE_CASES = (
+    (sde_model.brownian(3), geometry.ball([0.0, 0.0, 0.0], 0.8), np.zeros((12, 3))),
+    (sde_model.rotational(spin=1.5), geometry.ball([0.5, 0.0], 0.4), np.tile([0.5, 0.0], (12, 1))),
+)
+
+
 @pytest.mark.parametrize("extra", [-424, 0, 5])
 @pytest.mark.parametrize("with_domain", [True, False])
 def test_kernel_matches_full_window_reference(extra, with_domain):
     """Drawing only the rows up to the horizon leaves every increment a path
-    uses equal to the full-window layout."""
+    uses equal to the full-window layout, for k = n and for k < n."""
     n_steps = mc_simulator.WINDOW + extra
     dt = 2.0**-12
-    model = sde_model.brownian(3)
-    domain = geometry.ball([0.0, 0.0, 0.0], 0.8) if with_domain else None
-    starts = np.zeros((12, 3))
-    states, steps, exited, nonfinite = mc_simulator._simulate_block(
-        model, domain, starts, n_steps * dt, dt, 5, 3
-    )
-    ref_states, ref_steps, ref_exited = _full_window_reference(
-        model, domain, starts, n_steps, dt, 5, 3
-    )
-    np.testing.assert_array_equal(states, ref_states)
-    np.testing.assert_array_equal(steps, ref_steps)
-    np.testing.assert_array_equal(exited, ref_exited)
-    assert not nonfinite.any()
-    if with_domain:
-        assert 0 < exited.sum() < len(starts)
-    else:
-        assert not exited.any()
+    for model, domain, starts in REFERENCE_CASES:
+        domain = domain if with_domain else None
+        states, steps, exited, nonfinite = mc_simulator._simulate_block(
+            model, domain, starts, n_steps * dt, dt, 5, 3
+        )
+        ref_states, ref_steps, ref_exited = _full_window_reference(
+            model, domain, starts, n_steps, dt, 5, 3
+        )
+        np.testing.assert_array_equal(states, ref_states)
+        np.testing.assert_array_equal(steps, ref_steps)
+        np.testing.assert_array_equal(exited, ref_exited)
+        assert not nonfinite.any()
+        if with_domain:
+            assert 0 < exited.sum() < len(starts)
+        else:
+            assert not exited.any()
 
 
 def test_exit_count_monotone_in_horizon():
@@ -464,6 +505,45 @@ def test_x0_of_the_wrong_shape_is_refused():
             )
     est = mc_simulator.exit_probability(model, domain, [0.5, 0.0], T=1.0, dt=0.1, n_paths=4, seed=1)
     assert est.n_exits == 0
+
+
+def test_model_of_another_dimension_is_refused():
+    """The model must have the domain's dimension and the start points'
+    width: a 1-D drift would broadcast over 2-D states, and a 3-D noise
+    would fail inside the step with NumPy's message."""
+    disk = geometry.ball([0.0, 0.0], 1.0)
+    for model, n in ((sde_model.ou_inward(1), 1), (sde_model.brownian(3), 3)):
+        with pytest.raises(ValueError, match=f"model has dimension {n}, the domain 2"):
+            mc_simulator.exit_probability(model, disk, [0.1, 0.0], T=1.0, dt=0.1, n_paths=4, seed=1)
+        with pytest.raises(ValueError, match=f"model has dimension {n}, the domain 2"):
+            mc_simulator.dt_convergence_study(
+                model, disk, [0.1, 0.0], T=1.0, dt_list=[0.1, 0.05], n_paths=4, seed=1
+            )
+        with pytest.raises(ValueError, match=f"model has dimension {n}, the start points 2"):
+            mc_simulator.final_states(model, np.zeros((4, 2)), T=1.0, dt=0.1, seed=1)
+    with pytest.raises(ValueError, match=r"shape \(2,\), need \(m, 2\)"):
+        mc_simulator.final_states(sde_model.brownian(2), np.zeros(2), T=1.0, dt=0.1, seed=1)
+
+
+def test_ball_exit_test_stops_every_path_where_the_level_does():
+    """The simulator's closed-form exit test on a ball stops each path at
+    the step a positive signed_level does, over two windows with exits in
+    both, and with no call of signed_level inside the time loop."""
+    model, domain = sde_model.brownian(2), geometry.ball([0.1, -0.2], 0.9)
+    starts = np.tile([0.4, -0.1], (40, 1))
+    T, dt = 0.4, 2.5e-4
+    by_level = mc_simulator._simulate_block(
+        model, dataclasses.replace(domain, outside=None), starts, T, dt, 9, 0
+    )
+    calls = []
+    real_level = mc_simulator.signed_level
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc_simulator, "signed_level", lambda d, x: calls.append(1) or real_level(d, x))
+        closed = mc_simulator._simulate_block(model, domain, starts, T, dt, 9, 0)
+    assert not calls
+    assert [a.tobytes() for a in closed] == [a.tobytes() for a in by_level]
+    steps, exited = closed[1], closed[2]
+    assert steps[exited].min() < mc_simulator.WINDOW < steps[exited].max()
 
 
 # The simulator reads a domain's level only, so a domain built for it alone

@@ -41,6 +41,19 @@ def test_sigma_batch_shape_and_rows():
         np.testing.assert_array_equal(row, sde_model.sigma(model, 0.0, pt))
 
 
+def test_rotational_diffusion_has_the_bits_of_its_stacked_columns():
+    """The (..., 2, 1) column is written into one array; it has the bits of
+    spin * (-x_2, x_1) stacked, for a batch and a single point."""
+    s = 1.7
+    model = sde_model.rotational(spin=s, inward_rate=0.3)
+    X = np.random.default_rng(3).uniform(-2.0, 2.0, size=(300, 2))
+    for x in (X, X[5], X[::2]):
+        stacked = np.stack([-s * x[..., 1], s * x[..., 0]], axis=-1)[..., None]
+        b = model.diffusion(0.0, x)
+        assert b.shape == stacked.shape
+        assert b.tobytes() == stacked.tobytes()
+
+
 def test_sigma_positive_semidefinite():
     rng = np.random.default_rng(5)
     models = [
