@@ -17,7 +17,6 @@ from .errors import (
     ViabilityError,
 )
 from .geometry import (
-    BoundarySample,
     ImplicitDomain,
     ball,
     ellipsoid,

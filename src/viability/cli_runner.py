@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, fields
@@ -89,11 +90,19 @@ INTEGER_PARAMS = ("dimension", "p")
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or float that is finite as a float, not a bool. Python's json
+    reads NaN and Infinity, which are not JSON numbers (RFC 8259), and reads
+    integers of any size."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _is_reals(value) -> bool:
-    """A JSON number or a (nested) list of them."""
+    """A finite number or a (nested) list of them."""
     if isinstance(value, list):
         return all(_is_reals(item) for item in value)
     return _is_number(value)
@@ -114,7 +123,7 @@ def _check_declaration(section: str, decl, tag: str):
                 raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
         elif not _is_reals(value):
             raise ConfigError(
-                f"{section}.{key} must be a number or a list of numbers, got {value!r}"
+                f"{section}.{key} must be a finite number or a list of them, got {value!r}"
             )
 
 
@@ -163,7 +172,7 @@ def resolve_config(raw: dict) -> dict:
         for key, (in_range, words) in ranges.items():
             value = cfg[section][key]
             if not _is_number(value):
-                raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
+                raise ConfigError(f"{section}.{key} must be a finite number, got {value!r}")
             if not in_range(value):
                 raise ConfigError(f"{section}.{key} must be {words}, got {value!r}")
     if not isinstance(cfg["output"]["dir"], str):
@@ -173,7 +182,9 @@ def resolve_config(raw: dict) -> dict:
         if value is not None and not (
             isinstance(value, list) and value and all(map(_is_number, value))
         ):
-            raise ConfigError(f"{section}.{key} must be a nonempty list of numbers, got {value!r}")
+            raise ConfigError(
+                f"{section}.{key} must be a nonempty list of finite numbers, got {value!r}"
+            )
     _check_declaration("model", cfg["model"], "family")
     _check_declaration("domain", cfg["domain"], "kind")
 

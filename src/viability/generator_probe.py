@@ -106,13 +106,13 @@ def shell_sign_check(
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     sde_model.require_dimension(model, domain.dimension, "the domain")
-    feet = geometry.sample_offset_boundary(
+    feet, normals = geometry.sample_offset_boundary(
         domain, 0.0, n_points, child_seed(seed, 0)
     )
     u = generator(seed, 1).random(n_points)
     dists = eps * (1.0 + SHELL_EDGE_GUARD + 2.0 * (1.0 - 2.0 * SHELL_EDGE_GUARD) * u)
 
-    points = np.array([f.point + d * f.normal for f, d in zip(feet, dists)])
+    points = feet + dists[:, None] * normals
     tags = tuple(geometry.offset_membership(domain, p, eps) for p in points)
     bad = [t for t in tags if t != geometry.REGION_SHELL]
     if bad:

@@ -73,46 +73,53 @@ class ImplicitDomain:
     outside: Callable[[np.ndarray], np.ndarray] | None = None
 
 
-def _row_sum(v: np.ndarray) -> np.ndarray:
-    """Sum over the last axis, one column at a time, left to right.
+def _column_sum(x, c: np.ndarray, term: Callable[[np.ndarray, int], np.ndarray]):
+    """The sum over j of term(x_j - c_j, j), left to right, for a point or
+    for each row of a batch.
 
     Every row is summed alone in the same order, so a point, a block of one
-    and its row in a batch get the same bits. Over the short last axis of a
-    level function this is also faster than np.sum or np.linalg.norm.
+    and its row in a batch get the same bits; a point runs as a block of
+    one, because a power of a NumPy scalar can round differently from the
+    same power of an array. Subtracting c column by column avoids x - c,
+    which broadcasts c over the short last axis and runs n elements at a
+    time.
     """
-    out = v[..., 0]
-    for j in range(1, v.shape[-1]):
-        out = out + v[..., j]
-    return out
-
-
-@dataclass(frozen=True)
-class BoundarySample:
-    """A point at prescribed distance from K together with its outward normal."""
-
-    point: np.ndarray
-    normal: np.ndarray
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return _column_sum(x[None], c, term)[0]
+    s = term(x[..., 0] - c[0], 0)
+    for j in range(1, x.shape[-1]):
+        s = s + term(x[..., j] - c[j], j)
+    return s
 
 
 def _vector(name: str, value, n: int | None = None) -> np.ndarray:
-    """value as a nonempty 1-D float array (of length n if given), else ValueError."""
+    """value as a nonempty 1-D array of finite floats (of length n if given),
+    else ValueError."""
     v = np.asarray(value, dtype=float)
-    if v.ndim != 1 or v.size == 0 or (n is not None and v.size != n):
-        raise ValueError(f"{name} must be a list of {n or 'one or more'} numbers, got {value!r}")
+    if v.ndim != 1 or v.size == 0 or (n is not None and v.size != n) or not np.isfinite(v).all():
+        raise ValueError(
+            f"{name} must be a list of {n or 'one or more'} finite numbers, got {value!r}"
+        )
     return v
+
+
+def _radius(value) -> float:
+    """value as a positive finite float, else ValueError."""
+    r = float(value)
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {value!r}")
+    return r
 
 
 def ball(center, radius: float) -> ImplicitDomain:
     """Ball of given radius; Q is the exact signed distance |x - c| - r."""
     c = _vector("center", center)
     n = c.shape[0]
-    r = float(radius)
-    if r <= 0.0:
-        raise ValueError("radius must be positive")
+    r = _radius(radius)
 
     def level(x):
-        u = np.asarray(x, dtype=float) - c
-        q = np.sqrt(_row_sum(u * u)) - r
+        q = np.sqrt(_column_sum(x, c, lambda u, j: u * u)) - r
         return float(q) if q.ndim == 0 else q
 
     def grad(x):
@@ -139,15 +146,7 @@ def ball(center, radius: float) -> ImplicitDomain:
     def outside(X):
         # The level's sum of squares s, without its sqrt: sqrt(s) - r > 0
         # exactly when the rounded sqrt(s) exceeds r, that is when s > r2.
-        # Summed column by column, in _row_sum's order: X - c would
-        # broadcast c over the short last axis, which NumPy runs n elements
-        # at a time, at twice the cost of the whole test for n = 2.
-        X = np.asarray(X, dtype=float)
-        s = 0.0
-        for j in range(n):
-            u = X[..., j] - c[j]
-            s = s + u * u
-        return s > r2
+        return _column_sum(X, c, lambda u, j: u * u) > r2
 
     return ImplicitDomain(
         n, "ball", c, level, grad, hess,
@@ -185,8 +184,7 @@ def ellipsoid(center, semiaxes) -> ImplicitDomain:
     a_min = float(np.min(a))
 
     def level(x):
-        u = np.asarray(x, dtype=float) - c
-        q = _row_sum(u * u * inv2) - 1.0
+        q = _column_sum(x, c, lambda u, j: u * u * inv2[j]) - 1.0
         return float(q) if q.ndim == 0 else q
 
     def grad(x):
@@ -226,14 +224,11 @@ def even_p_norm_ball(center, radius: float, p: int) -> ImplicitDomain:
     if p < 2 or p % 2 != 0:
         raise ValueError("p must be an even integer >= 2")
     c = _vector("center", center)
-    r = float(radius)
-    if r <= 0.0:
-        raise ValueError("radius must be positive")
+    r = _radius(radius)
     n = c.shape[0]
 
     def level(x):
-        u = np.asarray(x, dtype=float) - c
-        q = _row_sum(u**p) - r**p
+        q = _column_sum(x, c, lambda u, j: u**p) - r**p
         return float(q) if q.ndim == 0 else q
 
     def grad(x):
@@ -512,8 +507,9 @@ def _unit_directions(rng: np.random.Generator, count: int, n: int) -> np.ndarray
 
 def sample_offset_boundary(
     domain: ImplicitDomain, eps: float, count: int, seed: int
-) -> list[BoundarySample]:
-    """Area-weighted samples of the offset surface at distance eps from K.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Area-weighted samples of the offset surface at distance eps from K:
+    the (count, n) arrays of the points and of their outward normals.
 
     Boundary points of K are drawn area-weighted by the kind's sampler and
     pushed distance eps along the outward normal; for the convex built-in
@@ -528,5 +524,4 @@ def sample_offset_boundary(
         raise ValueError("count must be >= 1")
     feet = domain.boundary_points(generator(seed), count)
     normals = outward_normal_batch(domain, feet)
-    points = feet + eps * normals
-    return [BoundarySample(point=z, normal=nu) for z, nu in zip(points, normals)]
+    return feet + eps * normals, normals

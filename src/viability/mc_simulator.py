@@ -214,14 +214,17 @@ def exit_probability(
     bit-identical for any CPU count (see _simulate_rows). Paths run
     _n_steps(T, dt) steps, to the horizon round(T / dt) * dt, while the
     estimate reports T as given. Paths that overflow are counted in
-    n_nonfinite and excluded from the exit count. x0 must be a vector of
-    domain.dimension entries, and the model must have the domain's dimension.
+    n_nonfinite and excluded from the exit count. x0 must be a finite vector
+    of domain.dimension entries, and the model must have the domain's
+    dimension.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (domain.dimension,):
         raise ValueError(f"x0 has shape {x0.shape}, the domain needs ({domain.dimension},)")
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be finite, got {x0!r}")
     require_dimension(model, domain.dimension, "the domain")
     if signed_level(domain, x0) > 0.0:
         raise ImmediateExit(f"start point {x0!r} lies outside the domain")

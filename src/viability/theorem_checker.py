@@ -14,13 +14,15 @@ No finite computation certifies a limit, so the decision parameters
 is a deterministic, re-checkable function of the stored profiles.
 
 Each sup is the sampled maximum sharpened by local ascent along S_eps from
-the best samples. theorem1_report draws the offset samples once and passes
-them to both conditions. The sweep runs as arrays: each eps evaluates its
-samples in one batch, and the ascents from every start of every eps run in
-lockstep, each round one batched projection, one batch of normals and one
-batched evaluation of the functional. Every dot product is a row dot
-(rows.row_dot) and every running max keeps Python's max, so the sups have
-the bits of ascents run one start and one point at a time.
+the best samples. theorem1_report draws the offset samples once, as one
+(points, normals) pair of arrays per eps, and passes them to both
+conditions. The sweep runs as arrays: each eps evaluates its samples in one
+batch, and the ascents from every start of every eps run in lockstep as two
+plain loops, sweeps and, within a sweep, moves along the tangent basis; each
+move is one batched projection, one batch of normals and one batched
+evaluation of the functional. Every dot product is a row dot (rows.row_dot)
+and every running max keeps Python's max, so the sups have the bits of
+ascents run one start and one point at a time.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import geometry, sde_model
 from .errors import ViabilityError
-from .geometry import BoundarySample, ImplicitDomain
+from .geometry import ImplicitDomain
 from .rows import row_dot, row_norm
 from .sde_model import RegularityReport, SdeModel
 from .seeds import child_seed
@@ -117,8 +119,9 @@ def _tangent_bases(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _offset_samples(
     domain: ImplicitDomain, eps_grid: Sequence[float], samples_per_eps: int, seed: int
-) -> list[list[BoundarySample]]:
-    """The offset samples of each eps, drawn from child_seed(seed, e_idx).
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The offset samples of each eps, drawn from child_seed(seed, e_idx):
+    one (points, normals) pair of arrays per eps.
 
     Both conditions take their sups over these same samples, so a report
     draws them once.
@@ -141,74 +144,53 @@ def _ascend(
     """Local ascent along S_eps from each start row, every walk in lockstep.
 
     Walk w starts at the sample (points[w], normals[w]) of value values[w]
-    and walks on S_eps for its eps[w]. A sweep takes a tangent basis at the
-    walk's sample and tries +step and then -step along each basis vector,
-    re-projecting each move onto S_eps; a move that raises the objective
-    becomes the walk's sample at once. A sweep without a gain halves the
-    step, and a walk ends once the step falls below 1e-6 scale[w] or after
-    REFINE_STEPS sweeps. A walk without tangent directions (1-D) makes no
-    moves. Returns each walk's best value.
+    and walks on S_eps for its eps[w], with a step of 0.5 scale[w]. Each of
+    up to REFINE_STEPS sweeps takes a tangent basis at every live walk's
+    sample, then makes the moves of the sweep in order: move i goes along
+    basis vector i // 2 with sign (-1)^i and is re-projected onto S_eps, and
+    a move that raises the objective becomes the walk's sample at once.
+    After the sweep, a walk without a gain halves its step and ends once
+    the step falls below 1e-6 scale[w]. A walk without tangent directions
+    (1-D) makes no moves. Returns each walk's best value.
 
-    Each round makes the next move of every live walk, in walk order: one
-    project_to_boundary_batch call, one batch of normals and one objective
-    call. A row of each depends on that row alone, so every walk takes the
-    moves, and reaches the bits, of the same walk run on its own; an error
-    names the first offending row in walk order.
+    Each move is one project_to_boundary_batch call, one batch of normals
+    and one objective call over the live walks that have its basis vector,
+    in walk order. A row of each depends on that row alone, so every walk
+    takes the moves, and reaches the bits, of the same walk run on its own;
+    an error names the first offending row in walk order.
     """
     points, normals, values = points.copy(), normals.copy(), values.copy()
-    walks, n = points.shape
     step = 0.5 * scale
-    live = np.ones(walks, dtype=bool)
-    sweeps = np.zeros(walks, dtype=int)
-    # The current sweep of each walk: its basis, its number of moves and the
-    # index of its next move (move i goes along basis[i // 2] with sign
-    # (-1)^i), and whether one of its moves has gained yet.
-    basis = np.zeros((walks, n - 1, n))
-    moves = np.zeros(walks, dtype=int)
-    move = np.zeros(walks, dtype=int)
-    improved = np.zeros(walks, dtype=bool)
-
-    def begin(rows):
-        """Start a sweep at each of rows, then end every sweep that has
-        no move left, and begin the next one, until each walk of rows has a
-        move to make or is done."""
-        while rows.size:
-            basis[rows], count = _tangent_bases(normals[rows])
-            moves[rows], move[rows], improved[rows] = 2 * count, 0, False
-            rows = end(rows[moves[rows] == 0])
-
-    def end(rows):
-        """End the sweeps of rows; the walks that go on to another sweep."""
-        flat = rows[~improved[rows]]
+    live = np.arange(len(values))
+    for _ in range(REFINE_STEPS):
+        if not live.size:
+            break
+        basis, count = _tangent_bases(normals[live])
+        improved = np.zeros(len(values), dtype=bool)
+        for move in range(2 * basis.shape[1]):
+            has = count > move // 2
+            rows = live[has]
+            sgn = -1.0 if move % 2 else 1.0
+            feet, _ = geometry.project_to_boundary_batch(
+                domain, points[rows] + (sgn * step[rows])[:, None] * basis[has, move // 2]
+            )
+            nu = geometry.outward_normal_batch(domain, feet)
+            cand = feet + eps[rows, None] * nu
+            val = objective(cand, nu)
+            up = val > values[rows]
+            gain = rows[up]
+            points[gain], normals[gain], values[gain] = cand[up], nu[up], val[up]
+            improved[gain] = True
+        flat = live[~improved[live]]
         step[flat] *= 0.5
-        live[flat[step[flat] < 1e-6 * scale[flat]]] = False
-        sweeps[rows] += 1
-        live[rows[sweeps[rows] == REFINE_STEPS]] = False
-        return rows[live[rows]]
-
-    begin(np.arange(walks))
-    while live.any():
-        rows = np.flatnonzero(live)
-        t = basis[rows, move[rows] // 2]
-        sgn = np.where(move[rows] % 2 == 0, 1.0, -1.0)
-        feet, _ = geometry.project_to_boundary_batch(
-            domain, points[rows] + (sgn * step[rows])[:, None] * t
-        )
-        nu = geometry.outward_normal_batch(domain, feet)
-        cand = feet + eps[rows, None] * nu
-        val = objective(cand, nu)
-        up = val > values[rows]
-        gain = rows[up]
-        points[gain], normals[gain], values[gain], improved[gain] = cand[up], nu[up], val[up], True
-        move[rows] += 1
-        begin(end(rows[move[rows] == moves[rows]]))
+        live = live[step[live] >= 1e-6 * scale[live]]
     return values
 
 
 def _profile(
     domain: ImplicitDomain,
     eps_grid: Sequence[float],
-    stages: Sequence[Sequence[BoundarySample]],
+    stages: Sequence[tuple[np.ndarray, np.ndarray]],
     time_grid: Sequence[float],
     pointwise: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
 ) -> list[float]:
@@ -235,9 +217,7 @@ def _profile(
 
     reach = 0.05 * domain.bounding_radius
     sups, owner, starts = [], [], []
-    for e_idx, (eps, samples) in enumerate(zip(eps_grid, stages)):
-        Z = np.array([smp.point for smp in samples])
-        N = np.array([smp.normal for smp in samples])
+    for e_idx, (eps, (Z, N)) in enumerate(zip(eps_grid, stages)):
         values = objective(Z, N)
         sups.append(float(np.max(values)))
         for start in np.argsort(values)[::-1][:REFINE_TOP]:
@@ -341,13 +321,11 @@ def _pressure(model: SdeModel) -> Callable[[float, np.ndarray, np.ndarray], np.n
     return values
 
 
-def condition3_value(
-    model: SdeModel, domain: ImplicitDomain, s: float, sample: BoundarySample
-) -> float:
+def condition3_value(model: SdeModel, s: float, point, normal) -> float:
     """Drift pressure along the normal with the diffusion correction:
-    a . nu - 1/2 sum_k nu^T (Db_k) b_k evaluated at the sample point."""
-    Z = np.asarray(sample.point, dtype=float)[None, :]
-    N = np.asarray(sample.normal, dtype=float)[None, :]
+    a . nu - 1/2 sum_k nu^T (Db_k) b_k evaluated at the point."""
+    Z = np.asarray(point, dtype=float)[None, :]
+    N = np.asarray(normal, dtype=float)[None, :]
     return float(_pressure(model)(s, Z, N)[0])
 
 

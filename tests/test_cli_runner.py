@@ -361,6 +361,18 @@ def test_invalid_configs_raise_config_error(tmp_path):
         ("probe", {"eps": 0.0}),
         ("sim", {"x0": [0.5, 0.0], "T": 0.5, "dt": 0.01, "p_max": -1.0}),
         ("sim", {"x0": [0.5, 0.0], "T": 0.5, "dt": 0.01, "p_max": 1.5}),
+        # Python's json reads NaN and Infinity, which are not JSON numbers
+        ("domain", {"kind": "ball", "center": [0.0, 0.0], "radius": float("nan")}),
+        ("domain", {"kind": "ball", "center": [float("nan"), 0.0], "radius": 1.0}),
+        ("domain", {"kind": "ellipsoid", "center": [0.0, 0.0], "semiaxes": [float("inf"), 1.0]}),
+        ("model", {"family": "rotational", "spin": float("nan"), "inward_rate": 1.0}),
+        ("sim", {"x0": [float("nan"), 0.0], "T": 0.5, "dt": 0.01}),
+        ("sim", {"x0": [0.5, 0.0], "T": float("inf"), "dt": 0.01}),
+        ("check", {"eps_grid": [0.2, 0.1, float("nan")]}),
+        ("probe", {"time": float("-inf")}),
+        # and integers of any size, which overflow a float
+        ("sim", {"x0": [0.5, 0.0], "T": 10**400, "dt": 0.01}),
+        ("domain", {"kind": "ball", "center": [0.0, 0.0], "radius": 10**400}),
     ],
 )
 def test_bad_section_values_are_config_errors(tmp_path, section, values):

@@ -66,7 +66,7 @@ def test_outward_normal_matches_fd_gradient():
     h = 1e-7
     for d in domains:
         for _ in range(34):
-            z = geometry.sample_offset_boundary(d, 0.0, 1, int(rng.integers(1 << 30)))[0].point
+            z = geometry.sample_offset_boundary(d, 0.0, 1, int(rng.integers(1 << 30)))[0][0]
             g = np.zeros(2)
             for j in range(2):
                 e = np.zeros(2)
@@ -132,14 +132,14 @@ def test_sample_offset_boundary_matches_the_per_foot_loop_bit_for_bit(d):
         for foot in domain.boundary_points(rng, count):
             nu = _scalar_outward_normal(domain, foot)
             z = foot + eps * nu
-            samples.append(geometry.BoundarySample(point=z, normal=nu))
+            samples.append((z, nu))
         return samples
 
     for eps in (0.0, 0.1):
-        new = geometry.sample_offset_boundary(d, eps, 100, 13)
+        points, normals = geometry.sample_offset_boundary(d, eps, 100, 13)
         old = per_foot(d, eps, 100, 13)
-        assert np.array([s.point for s in new]).tobytes() == np.array([s.point for s in old]).tobytes()
-        assert np.array([s.normal for s in new]).tobytes() == np.array([s.normal for s in old]).tobytes()
+        assert points.tobytes() == np.array([z for z, _ in old]).tobytes()
+        assert normals.tobytes() == np.array([nu for _, nu in old]).tobytes()
 
 
 def test_project_ball_radial_and_center_tie():
@@ -280,18 +280,17 @@ def test_offset_membership_monotone_along_rays(r1, r2, angle, eps):
 
 def test_sample_offset_boundary_ball():
     d = unit_ball()
-    samples = geometry.sample_offset_boundary(d, 0.5, 64, 42)
-    for s in samples:
-        assert np.linalg.norm(s.point) == pytest.approx(1.5, abs=1e-9)
-        np.testing.assert_allclose(s.normal, s.point / np.linalg.norm(s.point), atol=1e-9)
-        assert abs(np.linalg.norm(s.normal) - 1.0) < 1e-12
+    for z, nu in zip(*geometry.sample_offset_boundary(d, 0.5, 64, 42)):
+        assert np.linalg.norm(z) == pytest.approx(1.5, abs=1e-9)
+        np.testing.assert_allclose(nu, z / np.linalg.norm(z), atol=1e-9)
+        assert abs(np.linalg.norm(nu) - 1.0) < 1e-12
 
 
 def test_sample_offset_boundary_eps_zero():
     d = geometry.ellipsoid([0.0, 0.0], [2.0, 1.0])
-    for s in geometry.sample_offset_boundary(d, 0.0, 32, 3):
-        assert abs(d.level_fn(s.point)) < 1e-9
-        np.testing.assert_allclose(s.normal, geometry.outward_normal(d, s.point), atol=1e-12)
+    for z, nu in zip(*geometry.sample_offset_boundary(d, 0.0, 32, 3)):
+        assert abs(d.level_fn(z)) < 1e-9
+        np.testing.assert_allclose(nu, geometry.outward_normal(d, z), atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -303,21 +302,19 @@ def test_sample_offset_boundary_eps_zero():
 )
 def test_sample_offset_boundary_reprojects_to_eps(domain):
     eps = 0.2
-    for s in geometry.sample_offset_boundary(domain, eps, 48, 11):
-        _, dist = geometry.project_to_boundary(domain, s.point)
+    for z in geometry.sample_offset_boundary(domain, eps, 48, 11)[0]:
+        _, dist = geometry.project_to_boundary(domain, z)
         assert dist == pytest.approx(eps, abs=1e-6)
-        assert domain.level_fn(s.point) > 0.0
+        assert domain.level_fn(z) > 0.0
 
 
 def test_sampler_deterministic_and_prefix_stable():
     d = geometry.ellipsoid([0.0, 0.0], [2.0, 1.0])
-    a = geometry.sample_offset_boundary(d, 0.1, 20, 5)
-    b = geometry.sample_offset_boundary(d, 0.1, 20, 5)
-    c = geometry.sample_offset_boundary(d, 0.1, 50, 5)
-    for s, t in zip(a, b):
-        np.testing.assert_array_equal(s.point, t.point)
-    for s, t in zip(a, c):
-        np.testing.assert_array_equal(s.point, t.point)
+    a, _ = geometry.sample_offset_boundary(d, 0.1, 20, 5)
+    b, _ = geometry.sample_offset_boundary(d, 0.1, 20, 5)
+    c, _ = geometry.sample_offset_boundary(d, 0.1, 50, 5)
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(a, c[:20])
 
 
 def test_sampler_area_weighting_ellipsoid():
@@ -325,9 +322,7 @@ def test_sampler_area_weighting_ellipsoid():
     # region |x| > 3.2 carries 0.2454 of the perimeter (dense quadrature),
     # while uniform-angle mapping would put 0.41 of the samples there
     d = geometry.ellipsoid([0.0, 0.0], [4.0, 1.0])
-    pts = np.array(
-        [s.point for s in geometry.sample_offset_boundary(d, 0.0, 4000, 17)]
-    )
+    pts, _ = geometry.sample_offset_boundary(d, 0.0, 4000, 17)
     frac_far = np.mean(np.abs(pts[:, 0]) > 3.2)
     assert abs(frac_far - 0.2454) < 0.03  # about 4 binomial standard errors
 
@@ -406,10 +401,10 @@ def test_project_to_boundary_batch_rows_are_bit_identical(domain):
     n = domain.dimension
     rng = np.random.default_rng(47)
     moves = []
-    for smp in geometry.sample_offset_boundary(domain, 0.05, 30, 3):
+    for z, nu in zip(*geometry.sample_offset_boundary(domain, 0.05, 30, 3)):
         t = rng.standard_normal(n)
-        t -= np.dot(t, smp.normal) * smp.normal
-        moves.append(smp.point + rng.uniform(0.0, 0.2) * t)
+        t -= np.dot(t, nu) * nu
+        moves.append(z + rng.uniform(0.0, 0.2) * t)
     box = domain.center + rng.uniform(-2.5, 2.5, size=(60, n))
     X = np.vstack([moves, box[domain.level_fn(box) > 0.0]])
     feet, dists = geometry.project_to_boundary_batch(domain, X)
@@ -448,7 +443,7 @@ def test_bounding_and_inner_radius():
         assert domain.inner_radius == inner
         c, n = domain.center, domain.dimension
         # boundary samples lie between the two spheres
-        z = np.array([s.point for s in geometry.sample_offset_boundary(domain, 0.0, 300, 9)])
+        z, _ = geometry.sample_offset_boundary(domain, 0.0, 300, 9)
         r = np.linalg.norm(z - c, axis=1)
         assert np.all(r >= inner - 1e-12) and np.all(r <= bounding + 1e-12)
         # the ray crossing lies on the boundary
@@ -507,3 +502,22 @@ def test_from_config_dispatch():
         geometry.from_config({"kind": "torus"})
     with pytest.raises(ValueError):
         geometry.even_p_norm_ball([0.0, 0.0], 1.0, 3)
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (geometry.ball, ([0.0, 0.0], np.nan)),
+        (geometry.ball, ([0.0, 0.0], np.inf)),
+        (geometry.ball, ([np.nan, 0.0], 1.0)),
+        (geometry.ellipsoid, ([0.0, 0.0], [np.nan, 1.0])),
+        (geometry.ellipsoid, ([0.0, -np.inf], [1.0, 1.0])),
+        (geometry.even_p_norm_ball, ([0.0, 0.0], np.nan, 4)),
+    ],
+    ids=["ball_nan_radius", "ball_inf_radius", "ball_nan_center", "ellipsoid_nan_semiaxis",
+         "ellipsoid_inf_center", "p4_ball_nan_radius"],
+)
+def test_non_finite_parameters_are_refused(build, args):
+    # a NaN radius passes r <= 0, and every level would then be NaN
+    with pytest.raises(ValueError, match="finite"):
+        build(*args)

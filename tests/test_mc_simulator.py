@@ -493,13 +493,21 @@ def test_start_outside_domain_raises():
 
 def test_x0_of_the_wrong_shape_is_refused():
     """A start point must have the domain's dimension: a 1-D x0 on a disk
-    would broadcast against the disk's centre."""
+    would broadcast against the disk's centre. It must be finite too: from
+    a NaN start every path is non-finite and none counts as an exit."""
     model = sde_model.ou_inward(2)
     domain = geometry.ball([0.5, 0.0], 1.0)
     for x0, shape in (([0.1], r"\(1,\)"), ([[0.5, 0.0]], r"\(1, 2\)"), (0.5, r"\(\)")):
         with pytest.raises(ValueError, match=shape + r".*\(2,\)"):
             mc_simulator.exit_probability(model, domain, x0, T=1.0, dt=0.1, n_paths=4, seed=1)
         with pytest.raises(ValueError, match=shape + r".*\(2,\)"):
+            mc_simulator.dt_convergence_study(
+                model, domain, x0, T=1.0, dt_list=[0.1, 0.05], n_paths=4, seed=1
+            )
+    for x0 in ([np.nan, 0.0], [0.5, np.inf], [-np.inf, 0.0]):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            mc_simulator.exit_probability(model, domain, x0, T=1.0, dt=0.1, n_paths=4, seed=1)
+        with pytest.raises(ValueError, match="x0 must be finite"):
             mc_simulator.dt_convergence_study(
                 model, domain, x0, T=1.0, dt_list=[0.1, 0.05], n_paths=4, seed=1
             )

@@ -485,9 +485,9 @@ def _bytes(result):
 def _probe_points(domain, eps, seed):
     # interior points, shell points, points just inside 3 eps and points far
     # outside: these multiples of eps along sampled boundary normals
-    feet = geometry.sample_offset_boundary(domain, 0.0, 2, seed)
+    feet, normals = geometry.sample_offset_boundary(domain, 0.0, 2, seed)
     dists = (-3.0, -0.5, 1.3, 2.0, 2.7, 3.0 * (1.0 - 1e-9), 5.0)
-    return [f.point + d * eps * f.normal for f in feet for d in dists]
+    return [f + d * eps * nu for f, nu in zip(feet, normals) for d in dists]
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,12 @@
 """Tests for the boundary condition profiles and their verdict rules."""
 
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 import pytest
 
 from viability import geometry, sde_model, theorem_checker
-from viability.geometry import BoundarySample
 from viability.theorem_checker import (
     VERDICT_FAILS,
     VERDICT_HOLDS,
@@ -101,29 +101,23 @@ def test_condition3_value_rotational_closed_form():
     for spin, rho in ((1.0, 1.0), (2.0, 0.5), (0.7, 1.3)):
         model = sde_model.rotational(spin=spin, inward_rate=rho)
         eps = 0.1
-        sample = BoundarySample(
-            point=np.array([1.0 + eps, 0.0]), normal=np.array([1.0, 0.0])
-        )
-        got = theorem_checker.condition3_value(model, unit_ball(), 0.0, sample)
+        point, normal = np.array([1.0 + eps, 0.0]), np.array([1.0, 0.0])
+        got = theorem_checker.condition3_value(model, 0.0, point, normal)
         expected = (1.0 + eps) * (0.5 * spin**2 - rho)
         assert got == pytest.approx(expected, abs=1e-14)
 
 
 def test_condition3_value_pure_drift():
     model = sde_model.ou_inward(2, rate=1.0)
-    sample = BoundarySample(
-        point=np.array([0.0, 1.05]), normal=np.array([0.0, 1.0])
-    )
-    got = theorem_checker.condition3_value(model, unit_ball(), 0.0, sample)
+    point, normal = np.array([0.0, 1.05]), np.array([0.0, 1.0])
+    got = theorem_checker.condition3_value(model, 0.0, point, normal)
     assert got == pytest.approx(-1.05, abs=1e-14)
 
 
 def test_condition3_value_zero_model():
     model = sde_model.linear(np.zeros((2, 2)))
-    sample = BoundarySample(
-        point=np.array([1.1, 0.0]), normal=np.array([1.0, 0.0])
-    )
-    assert theorem_checker.condition3_value(model, unit_ball(), 0.0, sample) == 0.0
+    point, normal = np.array([1.1, 0.0]), np.array([1.0, 0.0])
+    assert theorem_checker.condition3_value(model, 0.0, point, normal) == 0.0
 
 
 def test_condition3_profile_rotational_exact_sups():
@@ -260,10 +254,23 @@ def test_regularity_failure_blocks_prediction():
 # and of the scalar tangent basis and condition functionals that the array
 # code replaced (REFINE_TOP and REFINE_STEPS are unchanged, so they are taken
 # from the module). The sups and the moves of the walks must match them bit
-# for bit.
+# for bit. The copies take their samples one at a time, as Sample records.
 REFINE_TOP = theorem_checker.REFINE_TOP
 REFINE_STEPS = theorem_checker.REFINE_STEPS
 child_seed = theorem_checker.child_seed
+
+
+@dataclass(frozen=True)
+class Sample:
+    """A point of S_eps together with its outward normal."""
+
+    point: np.ndarray
+    normal: np.ndarray
+
+
+def _samples(points, normals):
+    """The rows of an offset sample's arrays as Sample records."""
+    return [Sample(point=z, normal=nu) for z, nu in zip(points, normals)]
 
 
 def _tangent_basis(nu: np.ndarray) -> list[np.ndarray]:
@@ -312,7 +319,7 @@ def condition3_value(model, domain, s, sample):
 def _reproject(domain, eps, x):
     foot, _ = geometry.project_to_boundary(domain, x)
     nu = geometry.outward_normal(domain, foot)
-    return BoundarySample(point=foot + eps * nu, normal=nu)
+    return Sample(point=foot + eps * nu, normal=nu)
 
 
 def _refine_sup(domain, eps, samples, objective, values):
@@ -343,9 +350,9 @@ def _profile(model, domain, eps_grid, time_grid, samples_per_eps, seed, pointwis
     theorem_checker._validate_grid(eps_grid)
     sups = []
     for e_idx, eps in enumerate(eps_grid):
-        samples = geometry.sample_offset_boundary(
+        samples = _samples(*geometry.sample_offset_boundary(
             domain, eps, samples_per_eps, child_seed(seed, e_idx)
-        )
+        ))
         objective = lambda smp: max(pointwise(s, smp) for s in time_grid)
         values = np.array([objective(smp) for smp in samples])
         sups.append(_refine_sup(domain, eps, samples, objective, values))
@@ -365,6 +372,16 @@ LINEAR_3D = dict(
        [[0.0, -0.1, 0.2], [0.2, 0.0, 0.1], [0.1, 0.1, -0.2]],
        [[0.1, 0.2, 0.0], [-0.2, 0.1, 0.1], [0.0, 0.3, 0.1]]],
     d=[[0.1, 0.2, -0.1], [0.0, 0.1, 0.3], [0.2, -0.1, 0.1]],
+)
+LINEAR_4D = dict(
+    A=[[-1.0, 0.2, 0.0, 0.1], [-0.1, -0.9, 0.3, 0.0],
+       [0.0, -0.2, -1.1, 0.2], [0.1, 0.0, -0.1, -0.8]],
+    c=[0.05, 0.0, -0.05, 0.02],
+    B=[[[0.2, 0.0, 0.1, 0.0], [0.1, 0.3, 0.0, -0.1], [0.0, -0.1, 0.2, 0.1], [0.1, 0.0, 0.0, 0.2]],
+       [[0.0, -0.1, 0.2, 0.1], [0.2, 0.0, 0.1, 0.0], [0.1, 0.1, -0.2, 0.0], [0.0, 0.2, 0.1, 0.1]],
+       [[0.1, 0.2, 0.0, -0.1], [-0.2, 0.1, 0.1, 0.0], [0.0, 0.3, 0.1, 0.2], [0.1, 0.0, -0.1, 0.0]],
+       [[0.0, 0.1, 0.0, 0.2], [0.1, -0.1, 0.2, 0.0], [0.2, 0.0, 0.0, 0.1], [0.0, 0.1, 0.3, -0.2]]],
+    d=[[0.1, 0.2, -0.1, 0.0], [0.0, 0.1, 0.3, -0.1], [0.2, -0.1, 0.1, 0.1], [0.1, 0.0, 0.2, -0.2]],
 )
 
 
@@ -419,6 +436,10 @@ ASCENT_CASES = {
     "ellipsoid3d_linear_three_channels": (
         lambda: geometry.ellipsoid([0.3, -0.2, 0.1], [1.5, 1.0, 1.2]),
         lambda: sde_model.linear(**LINEAR_3D), (0.0,)),
+    # three tangent basis vectors, so six moves per sweep
+    "ellipsoid4d_linear_four_channels": (
+        lambda: geometry.ellipsoid([0.2, -0.1, 0.1, 0.0], [1.4, 1.0, 1.2, 0.9]),
+        lambda: sde_model.linear(**LINEAR_4D), (0.0,)),
     # ROADMAP item 1's case 2: the normal part of the noise is 0.002 sin(theta)
     "offcentre_disk_rotational": (lambda: geometry.ball([0.02, 0.0], 1.0),
                                   lambda: sde_model.rotational(0.1, 1.0), (0.0,)),
@@ -458,12 +479,15 @@ def test_lockstep_sups_match_per_start_ascent_bit_for_bit(case):
 
 
 @pytest.mark.parametrize(
-    "case", ["ball2d_rotational", "ellipse2d_brownian", "p4_ball3d_brownian", "ball1d_brownian"]
+    "case",
+    ["ball2d_rotational", "ellipse2d_brownian", "p4_ball3d_brownian", "ball1d_brownian",
+     "ellipsoid4d_linear_four_channels"],
 )
 def test_each_walk_evaluates_the_per_start_candidates(case):
-    # The lockstep rounds take one move of every live walk, in walk order
-    # (eps by eps, best start first). So the points the objective sees are
-    # the samples, then the per-start sequences interleaved round by round.
+    # Each move of a lockstep sweep takes one move of every live walk, in
+    # walk order (eps by eps, best start first). So the points the objective
+    # sees are the samples, then the per-start sequences interleaved move by
+    # move.
     # The batched objective sees the rows of each call in order, so the
     # recorder concatenates the rows of every call.
     make_domain, make_model, _ = ASCENT_CASES[case]
@@ -479,13 +503,14 @@ def test_each_walk_evaluates_the_per_start_candidates(case):
         return objective
 
     walks = []
-    for eps, samples in zip(EPS_GRID, stages):
+    for eps, (Z, N) in zip(EPS_GRID, stages):
+        samples = _samples(Z, N)
         values = np.array([tangency(0.0, smp) for smp in samples])
         for start in np.argsort(values)[::-1][:REFINE_TOP]:
             seen = []
             _refine_sup(domain, eps, [samples[start]], recorder(seen), values[[start]])
             walks.append(seen)
-    expected = [smp.point.tobytes() for samples in stages for smp in samples]
+    expected = [z.tobytes() for Z, _ in stages for z in Z]
     for r in range(max(map(len, walks))):
         expected += [seen[r] for seen in walks if r < len(seen)]
 
@@ -498,10 +523,11 @@ def test_each_walk_evaluates_the_per_start_candidates(case):
     seen = []
     theorem_checker._profile(domain, EPS_GRID, stages, (0.0,), rows_recorder)
     assert seen == expected
+    sampled = sum(len(Z) for Z, _ in stages)
     if domain.dimension == 1:
-        assert len(seen) == sum(map(len, stages))
+        assert len(seen) == sampled
     else:
-        assert len(seen) > sum(map(len, stages))
+        assert len(seen) > sampled
 
 
 def test_theorem1_report_draws_the_offset_samples_once(monkeypatch):
@@ -577,9 +603,8 @@ def test_tangent_bases_match_the_scalar_basis_bit_for_bit(n):
 def test_batched_functionals_match_the_scalar_ones_bit_for_bit(case):
     make_domain, make_model, times = ASCENT_CASES[case]
     domain, model = make_domain(), make_model()
-    samples = geometry.sample_offset_boundary(domain, 0.1, 30, 11)
-    Z = np.array([smp.point for smp in samples])
-    N = np.array([smp.normal for smp in samples])
+    Z, N = geometry.sample_offset_boundary(domain, 0.1, 30, 11)
+    samples = _samples(Z, N)
     tangency, scalar = theorem_checker._tangency(model), _tangency(model)
     pressure = theorem_checker._pressure(model)
     for s in times:
@@ -587,7 +612,7 @@ def test_batched_functionals_match_the_scalar_ones_bit_for_bit(case):
         old = np.array([condition3_value(model, domain, s, smp) for smp in samples])
         assert pressure(s, Z, N).tobytes() == old.tobytes()
         # the public per-point value is the batch code on a batch of one
-        one = [theorem_checker.condition3_value(model, domain, s, smp) for smp in samples]
+        one = [theorem_checker.condition3_value(model, s, z, nu) for z, nu in zip(Z, N)]
         assert np.array(one).tobytes() == old.tobytes()
 
 
