@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import geometry, mc_simulator, mollifier, sde_model, sharding
+from . import geometry, mc_simulator, mollifier, rows, sde_model, sharding
 from .errors import ImmediateExit
 from .geometry import ImplicitDomain
 from .mollifier import SmoothedIndicator
@@ -27,12 +27,14 @@ from .seeds import child_seed, generator
 
 SHELL_EDGE_GUARD = 1e-6  # keeps sampled distances strictly inside (eps, 3 eps)
 # Fewest probe points worth a forked child. On a 2-vCPU Xeon, forking and
-# reaping a child costs about 3 ms, and a point costs about 0.3 ms on the
-# 2-D unit ball and 2.7 ms on the 3-D one (24 nodes per axis). Split in two,
-# 10-point shares of the 3-D ball ran in two thirds of the serial time,
-# while 16- to 32-point shares of the 2-D ball ran a few ms slower than
-# serial and 100-point ones broke even (alternated pairs). A 10-point probe
-# of the 1.5 x 1 ellipse that forked ran slower than one that did not.
+# reaping a child costs about 3 ms, and a serial probe costs about 0.35 ms a
+# point on the 2-D unit ball and 1.6 ms on the 3-D one (24 nodes per axis,
+# 32 to 200 points). Split in two (10 alternated pairs in one process), the
+# 3-D ball's 16-point shares broke even and 32-point ones ran in 0.62 of the
+# serial time, so 32 holds there. On the 2-D ball a split ran 8-9 ms slower
+# than serial at every size from 32 to 200 points: the constant counts
+# points, not their cost, and no one count suits both balls. A 10-point
+# probe of the 1.5 x 1 ellipse that forked ran slower than one that did not.
 MIN_POINTS_PER_SHARE = 32
 
 
@@ -73,14 +75,15 @@ def default_shell_tolerance(
 
     Uses the sampled sup of |a| and the spectral norm of sigma over the probe
     points; a fixed absolute tolerance would spuriously fail at small eps.
+    The points are evaluated as one batch, each norm with the bits of that
+    point alone, and a NaN norm is passed over as a running Python max
+    would.
     """
-    sup_a = 0.0
-    sup_sig = 0.0
-    for x in points:
-        a = model.drift(s, x)
-        sup_a = max(sup_a, float(np.linalg.norm(a)))
-        sig = sde_model.sigma(model, s, x)
-        sup_sig = max(sup_sig, float(np.linalg.norm(sig, 2)))
+    points = np.asarray(points, dtype=float)
+    norm_a = rows.row_norm(model.drift(s, points))
+    norm_sig = np.linalg.norm(sde_model.sigma(model, s, points), 2, axis=(-2, -1))
+    sup_a = float(np.fmax.reduce(norm_a, initial=0.0))
+    sup_sig = float(np.fmax.reduce(norm_sig, initial=0.0))
     return 1e-3 * (sup_a + sup_sig) / (eps * eps) * factor
 
 

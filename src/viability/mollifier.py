@@ -24,16 +24,26 @@ support ball, which spares the grid blow-up but is only piecewise-smooth in x.
 Nodes of the window beyond the bump's support (|x - z| >= eps, about half of
 a 3-D window) have weight and derivatives exactly zero, so they are skipped:
 no membership fraction, projection or bump term is computed for them. The
-result is bit-identical to summing the whole window. The gradient and
-Hessian sums run over axis 0 of C-contiguous arrays, which NumPy adds row by
-row, so exact zero rows change nothing; the two scalar sums S and N are
-pairwise, whose rounding depends on the length, so they are taken over the
-whole window with the skipped nodes as zeros.
+result is bit-identical to summing the whole window.
+
+The derivative terms are laid out by (component, node): each component of
+the weights' gradient and each upper-triangle entry of their Hessian is one
+contiguous row over the kept nodes, followed by the same rows times the
+membership fractions, all in one work array that the indicator keeps between
+points. Every term comes from the same per-node operations as in a
+node-by-node layout, so the layout moves no bit. The 2n + n(n+1) rows are
+summed in one pass: they are copied node-major and summed over axis 0, which
+NumPy does for a C-contiguous array by adding its rows one after the other,
+node after node, as a sum over the whole window's rows would; exact zero
+rows change nothing in that order. A sum along each contiguous row would be
+pairwise, in another order. The two scalar sums S and N are pairwise, whose
+rounding depends on the length, so they are taken over the whole window with
+the skipped nodes as zeros.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -112,12 +122,21 @@ def _as_batch(x) -> tuple[np.ndarray, bool]:
     return arr, False
 
 
+def _cutoff_where(v2: np.ndarray, eps: float):
+    """The where= argument of the bump's loops: True when every offset lies
+    inside the cutoff, as in every window of eta, so that the loops run
+    unmasked, which is cheaper; else the mask of the offsets inside."""
+    inside = v2 < eps * eps
+    return True if inside.all() else inside
+
+
 def _bump_values(v2: np.ndarray, eps: float) -> np.ndarray:
     """exp(-eps^2/(eps^2 - |v|^2)) with hard zero at and beyond the cutoff."""
+    where = _cutoff_where(v2, eps)
     out = np.zeros_like(v2)
-    mask = v2 < eps * eps
-    t = -eps * eps / (eps * eps - v2[mask])
-    out[mask] = np.exp(np.maximum(t, EXP_CLAMP))
+    np.divide(-eps * eps, eps * eps - v2, out=out, where=where)
+    np.maximum(out, EXP_CLAMP, out=out, where=where)
+    np.exp(out, out=out, where=where)
     return out
 
 
@@ -129,40 +148,44 @@ def omega(spec: MollifierSpec, x) -> float | np.ndarray:
     return float(vals[0]) if single else vals
 
 
-def _bump_terms(V: np.ndarray, eps: float, scale: float, order: int):
-    """Bump weights at the offsets V (rows), with derivatives up to order.
+def _bump_terms(V, v2: np.ndarray, eps: float, scale: float, order: int, out=None):
+    """Bump weights at the offsets V, with their x derivatives up to order.
 
-    Returns (w, gradient or None, hessian or None): w = scale * exp(-eps^2 /
-    (eps^2 - |v|^2)), its derivative in the subtracted argument z of v = x - z
-    (the x derivative is the negative), and its second derivatives (the same
-    in x and z). The Hessian is symmetric, so each row holds only its
-    n(n+1)/2 entries (i, j) with i <= j, in np.triu_indices order, as a
-    C-contiguous (m, n(n+1)/2) array; _from_upper rebuilds the matrices.
+    V holds the offsets v = x - z of m nodes as n per-axis rows, and v2
+    their squared lengths. Returns (w, terms): w = scale * exp(-eps^2 /
+    (eps^2 - |v|^2)) and, for order >= 1, an array whose rows run over the
+    nodes: n rows of the gradient of w in x (the derivative in z is the
+    negative), then for order 2 the n(n+1)/2 rows of its second derivatives
+    (the same in x and z) with i <= j, in np.triu_indices order, which
+    _from_upper turns into matrices. When out is given, terms is its first
+    rows.
     scale is c_eps for omega itself and 1.0 for the raw node weights of eta.
     Every term is zero at and beyond the cutoff.
     """
-    v2 = np.sum(V * V, axis=1)
     w = scale * _bump_values(v2, eps)
     if order == 0:
-        return w, None, None
-    q = np.zeros_like(v2)
-    mask = v2 < eps * eps
-    q[mask] = 1.0 / (eps * eps - v2[mask])
+        return w, None
+    n = len(V)
+    i, j, diagonal = _upper_index(n)
+    rows = n if order == 1 else n + i.size
+    terms = np.empty((rows, v2.size)) if out is None else out[:rows]
     e2 = eps * eps
-    grad = (2.0 * e2) * (q * q * w)[:, None] * V
+    q = np.zeros_like(v2)
+    np.divide(1.0, e2 - v2, out=q, where=_cutoff_where(v2, eps))
+    # -(2 e2 q^2 w) v: negating a factor negates the product exactly
+    gcoef = (-2.0 * e2) * (q * q * w)
+    for axis in range(n):
+        np.multiply(gcoef, V[axis], out=terms[axis])
     if order == 1:
-        return w, grad, None
-    i, j, diagonal = _upper_index(V.shape[1])
-    # filled column by column, so the array stays C-contiguous: NumPy sums
-    # an F-ordered one pairwise along axis 0, in a different order
-    hess = np.empty((V.shape[0], i.size))
+        return w, terms
+    hess = terms[n:]
     for col in range(i.size):
-        np.multiply(V[:, i[col]], V[:, j[col]], out=hess[:, col])
-    hess *= (4.0 * e2 * e2 * q**4 * w - 8.0 * e2 * q**3 * w)[:, None]
+        np.multiply(V[i[col]], V[j[col]], out=hess[col])
+    hess *= 4.0 * e2 * e2 * q**4 * w - 8.0 * e2 * q**3 * w
     diag = -2.0 * e2 * q * q * w
     for col in diagonal:
-        hess[:, col] += diag
-    return w, grad, hess
+        hess[col] += diag
+    return w, terms
 
 
 @lru_cache(maxsize=8)
@@ -195,7 +218,8 @@ def omega_gradient(spec: MollifierSpec, x_minus_z) -> np.ndarray:
     Zero at and beyond the cutoff |x - z| >= eps.
     """
     V, single = _as_batch(x_minus_z)
-    _, grad, _ = _bump_terms(V, spec.radius, spec.c_eps, 1)
+    _, terms = _bump_terms(V.T, np.sum(V * V, axis=1), spec.radius, spec.c_eps, 1)
+    grad = np.ascontiguousarray(-terms.T)
     return grad[0] if single else grad
 
 
@@ -207,8 +231,9 @@ def omega_hessian(spec: MollifierSpec, x_minus_z) -> np.ndarray:
     beyond the cutoff.
     """
     V, single = _as_batch(x_minus_z)
-    _, _, hess = _bump_terms(V, spec.radius, spec.c_eps, 2)
-    hess = _from_upper(hess, V.shape[1])
+    _, terms = _bump_terms(V.T, np.sum(V * V, axis=1), spec.radius, spec.c_eps, 2)
+    n = V.shape[1]
+    hess = _from_upper(terms[n:].T, n)
     return hess[0] if single else hess
 
 
@@ -217,13 +242,19 @@ class SmoothedIndicator:
     """Convolution of the indicator of K_2eps with the bump omega_eps.
 
     nodes_per_axis controls the lattice resolution for dimensions up to 3;
-    qmc_points controls the quasi-random fallback above.
+    qmc_points controls the quasi-random fallback above. work is the array
+    that _eta_core writes its derivative terms into; it grows when a window
+    needs more and lives as long as the indicator, so two threads must not
+    evaluate one indicator at once.
     """
 
     domain: geometry.ImplicitDomain
     eps: float
     nodes_per_axis: int = DEFAULT_NODES_PER_AXIS
     qmc_points: int = DEFAULT_QMC_POINTS
+    work: np.ndarray = field(
+        default_factory=lambda: np.empty(0), init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.eps <= 0.0:
@@ -255,10 +286,11 @@ def _support_nodes(x: np.ndarray, eps: float, d: float):
     """The nodes of the window _lattice_axes(x, eps, d) with |x - z| < eps.
 
     The window is the product of the axes, last axis fastest. Returns (Z, V,
-    rows, total): the kept nodes and their offsets x - z as rows, their
-    positions in the window and the window's size. Offsets and |x - z|^2 are
-    formed per axis and broadcast over the window, in the same operations,
-    and so with the same bits, as from the window's rows.
+    v2, rows, total): the kept nodes as rows, their offsets x - z as n
+    per-axis rows and their |x - z|^2, their positions in the window and the
+    window's size. Offsets and |x - z|^2 are formed per axis and broadcast
+    over the window, in the same operations, and so with the same bits, as
+    from the window's rows.
     """
     axes = _lattice_axes(x, eps, d)
     offsets = [xi - z for xi, z in zip(x, axes)]
@@ -268,8 +300,8 @@ def _support_nodes(x: np.ndarray, eps: float, d: float):
     rows = np.flatnonzero(v2 < eps * eps)
     idx = np.unravel_index(rows, v2.shape)
     Z = np.stack([z[k] for z, k in zip(axes, idx)], axis=1)
-    V = np.stack([o[k] for o, k in zip(offsets, idx)], axis=1)
-    return Z, V, rows, v2.size
+    V = [o[k] for o, k in zip(offsets, idx)]
+    return Z, V, v2.ravel()[rows], rows, v2.size
 
 
 def _offset_distances(ind: SmoothedIndicator, Z: np.ndarray, margin: float):
@@ -336,6 +368,16 @@ def _zero_padded_sum(values: np.ndarray, rows: np.ndarray, total: int) -> float:
     return float(np.sum(full))
 
 
+def _work_arrays(ind: SmoothedIndicator, k: int, m: int, total: int):
+    """Two views of ind.work: k rows of m node columns, and an (m, k) array
+    for their node-major copy. When ind.work is too small it is replaced by
+    one sized for m = total, the window's size, which bounds m for the
+    windows that follow."""
+    if ind.work.size < 2 * k * m:
+        ind.work = np.empty(2 * k * max(m, total))
+    return ind.work[: k * m].reshape(k, m), ind.work[k * m : 2 * k * m].reshape(m, k)
+
+
 def _eta_core(ind: SmoothedIndicator, x, need_grad: bool, need_hess: bool):
     """Shared evaluation of eta and its derivatives on one node set.
 
@@ -353,33 +395,39 @@ def _eta_core(ind: SmoothedIndicator, x, need_grad: bool, need_hess: bool):
     eps = ind.eps
 
     if n <= 3:
-        Z, V, rows, total = _support_nodes(x, eps, ind.spacing)
+        Z, V, v2, rows, total = _support_nodes(x, eps, ind.spacing)
         frac = _membership_fractions(ind, Z)
     else:
         Z = _qmc_nodes(ind, x)
         V = x[None, :] - Z
-        rows = np.flatnonzero(np.sum(V * V, axis=1) < eps * eps)
+        v2 = np.sum(V * V, axis=1)
+        rows = np.flatnonzero(v2 < eps * eps)
         total = V.shape[0]
-        V, Z = V[rows], Z[rows]
+        V, v2, Z = V[rows].T, v2[rows], Z[rows]
         frac = (_offset_distances(ind, Z, 0.0) <= 0.0).astype(float)
 
     # raw weights (scale 1.0): the normalization constant cancels in N / S
     order = 2 if need_hess else int(need_grad)
-    w, gz, hw = _bump_terms(V, eps, 1.0, order)
+    k = n + n * (n + 1) // 2 if need_hess else n
+    terms, nodes = _work_arrays(ind, 2 * k, rows.size, total) if order else (None, None)
+    w, _ = _bump_terms(V, v2, eps, 1.0, order, terms)
     S = _zero_padded_sum(w, rows, total)
     N = _zero_padded_sum(w * frac, rows, total)
     value = min(max(N / S, 0.0), 1.0)
 
     grad = hess = None
     if order:
-        gw = -gz  # d/dx of each node weight
-        gS = gw.sum(axis=0)
-        gN = (gw * frac[:, None]).sum(axis=0)
+        # rows [gradient, upper Hessian] of the weights, then the same rows
+        # weighted by the fractions, all summed over the nodes at once
+        np.multiply(terms[:k], frac, out=terms[k:])
+        np.copyto(nodes, terms.T)
+        sums = nodes.sum(axis=0)
+        gS, gN = sums[:n], sums[k : k + n]
         if need_grad:
             grad = gN / S - N * gS / (S * S)
         if need_hess:
-            hS = _from_upper(hw.sum(axis=0), n)
-            hN = _from_upper((hw * frac[:, None]).sum(axis=0), n)
+            hS = _from_upper(sums[n:k], n)
+            hN = _from_upper(sums[k + n :], n)
             s2 = S * S
             cross = np.outer(gN, gS) + np.outer(gS, gN)
             hess = hN / S - cross / s2 - N * hS / s2 + 2.0 * N * np.outer(gS, gS) / (s2 * S)
@@ -422,6 +470,6 @@ def lattice_mass(spec: MollifierSpec, nodes_per_axis: int, x=None) -> float:
     n, eps = spec.dimension, spec.radius
     x = np.zeros(n) if x is None else np.asarray(x, dtype=float)
     d = 2.0 * eps / nodes_per_axis
-    _, V, rows, total = _support_nodes(x, eps, d)
-    w = spec.c_eps * _bump_values(np.sum(V * V, axis=1), eps)
+    _, _, v2, rows, total = _support_nodes(x, eps, d)
+    w = spec.c_eps * _bump_values(v2, eps)
     return _zero_padded_sum(w, rows, total) * d**n

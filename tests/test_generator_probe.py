@@ -1,5 +1,7 @@
 """Tests for the generator probe on the shell and the expectation gaps."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,53 @@ def test_default_shell_tolerance_closed_form():
         model, points, 0.0, eps, factor=2.0
     )
     assert doubled == pytest.approx(2.0 * tol, rel=1e-12)
+
+
+def _reference_shell_tolerance(model, points, s, eps, factor=1.0):
+    # the point-by-point loop that default_shell_tolerance replaced, verbatim
+    sup_a = 0.0
+    sup_sig = 0.0
+    for x in points:
+        a = model.drift(s, x)
+        sup_a = max(sup_a, float(np.linalg.norm(a)))
+        sig = sde_model.sigma(model, s, x)
+        sup_sig = max(sup_sig, float(np.linalg.norm(sig, 2)))
+    return 1e-3 * (sup_a + sup_sig) / (eps * eps) * factor
+
+
+def _nan_drift(model):
+    """model with a NaN drift at the points where x_0 > 0.5."""
+
+    def drift(t, x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x[..., 0] > 0.5)[..., None], np.nan, model.drift(t, x))
+
+    return dataclasses.replace(model, drift=drift)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        sde_model.brownian(3),
+        sde_model.rotational(),
+        sde_model.ou_inward(2),
+        sde_model.linear(
+            [[-1.0, 0.3], [-0.2, -0.5]], [0.1, 0.0],
+            B=[[[0.0, 0.4], [-0.4, 0.1]], [[0.2, 0.0], [0.3, -0.7]]], d=[[0.1, 0.2], [0.0, 0.3]],
+        ),
+        _nan_drift(sde_model.rotational()),
+    ],
+    ids=["brownian3", "rotational", "ou_inward2", "linear2", "nan_drift"],
+)
+def test_default_shell_tolerance_matches_the_point_loop_bit_for_bit(model):
+    n = model.dimension
+    domain = geometry.ball([0.1] * n, 1.0)
+    feet, normals = geometry.sample_offset_boundary(domain, 0.0, 200, 5)
+    points = feet + np.linspace(0.1, 0.3, 200)[:, None] * normals
+    for s, eps, factor in ((0.0, 0.1, 1.0), (0.5, 0.05, 2.5)):
+        got = generator_probe.default_shell_tolerance(model, points, s, eps, factor)
+        expect = _reference_shell_tolerance(model, points, s, eps, factor)
+        assert np.isfinite(got) and got.hex() == expect.hex()
 
 
 def test_shell_sign_check_accepts_tangential_model():

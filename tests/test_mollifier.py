@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import weakref
 from math import gamma, pi
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from conftest import _assert_no_child_left, _on_cpus, forking
 from viability import generator_probe, geometry, mollifier, sde_model
 
 # Frozen values of the unit-ball integral of exp(-1/(1-|u|^2)), computed by
@@ -402,7 +404,8 @@ def test_eta_qmc_implicit_domain_matches_per_node_projection():
     x = np.array([0.0, 1.2, 0.0, 0.0])
     Z = mollifier._qmc_nodes(ind, x)
     sd = np.array([geometry.signed_boundary_distance(domain, z) for z in Z])
-    w, _, _ = mollifier._bump_terms(x[None, :] - Z, ind.eps, 1.0, 0)
+    V = x[None, :] - Z
+    w = mollifier._bump_values(np.sum(V * V, axis=1), ind.eps)
     expect = np.sum(w * (sd <= 2.0 * ind.eps)) / np.sum(w)
     assert 0.0 < expect < 1.0
     assert abs(mollifier.eta(ind, x) - expect) <= 1e-12
@@ -527,13 +530,85 @@ def test_omega_hessian_matches_full_matrices_bit_for_bit():
     assert mollifier.omega_hessian(spec, V).tobytes() == expect.tobytes()
 
 
+def test_omega_gradient_matches_full_rows_bit_for_bit():
+    # about half of the offsets lie beyond the cutoff, whose zeros keep the
+    # signs of the reference's products
+    spec = mollifier.make_spec(3, 0.1)
+    V = np.random.default_rng(4).uniform(-0.1, 0.1, size=(500, 3))
+    _, expect, _ = _reference_bump_terms(V, spec.radius, spec.c_eps, 1)
+    got = mollifier.omega_gradient(spec, V)
+    assert got.flags.c_contiguous and got.tobytes() == expect.tobytes()
+    for k in (0, 1, 499):
+        assert mollifier.omega_gradient(spec, V[k]).tobytes() == expect[k].tobytes()
+
+
+def _probe_values(model, domain, n_points):
+    result = generator_probe.shell_sign_check(model, domain, 0.1, 0.0, n_points, seed=20260821)
+    return result.values.tobytes()
+
+
 def test_shell_probe_values_match_full_window_evaluation(monkeypatch):
     model = sde_model.brownian(3, 1.0)
     domain = geometry.ball([0.0, 0.0, 0.0], 1.0)
-    got = generator_probe.shell_sign_check(model, domain, 0.1, 0.0, 8, seed=20260821)
+    got = _probe_values(model, domain, 8)
     monkeypatch.setattr(mollifier, "_eta_core", _reference_eta_core)
-    expect = generator_probe.shell_sign_check(model, domain, 0.1, 0.0, 8, seed=20260821)
-    assert got.values.tobytes() == expect.values.tobytes()
+    assert got == _probe_values(model, domain, 8)
+
+
+@forking
+def test_split_shell_probe_values_match_full_window_evaluation(monkeypatch):
+    # the benchmark's 2-D ball: 200 points on two CPUs, so that the second
+    # share runs in a forked child
+    forks = _on_cpus(monkeypatch, 2)
+    model, domain = sde_model.rotational(1.0, 1.0), geometry.ball([0.0, 0.0], 1.0)
+    got = _probe_values(model, domain, 200)
+    assert len(forks) == 1
+    _assert_no_child_left()
+    monkeypatch.setattr(mollifier, "_eta_core", _reference_eta_core)
+    assert got == _probe_values(model, domain, 200)
+
+
+def test_ellipse_shell_probe_values_match_full_window_evaluation(monkeypatch):
+    model, domain = sde_model.ou_inward(2), geometry.ellipsoid([0.0, 0.0], [1.5, 1.0])
+    got = _probe_values(model, domain, 10)
+    monkeypatch.setattr(mollifier, "_eta_core", _reference_eta_core)
+    assert got == _probe_values(model, domain, 10)
+
+
+def test_work_array_carries_nothing_between_points():
+    # point b gives the same bytes alone as after a point whose window keeps
+    # more nodes, for every combination of outputs in either order
+    domain = geometry.ball([0.0, 0.0, 0.0], 1.0)
+    ind = mollifier.SmoothedIndicator(domain, 0.1)
+    points = _probe_points(domain, ind.eps, seed=3)
+    kept = [mollifier._support_nodes(np.asarray(x), ind.eps, ind.spacing)[3].size for x in points]
+    a, b = points[int(np.argmax(kept))], points[int(np.argmin(kept))]
+    assert max(kept) > min(kept)
+    mollifier._eta_core(ind, a, True, True)
+    work = ind.work
+    outputs = ((True, False), (False, True), (True, True))
+    for first in outputs:
+        for then in outputs:
+            alone = mollifier._eta_core(mollifier.SmoothedIndicator(domain, 0.1), b, *then)
+            mollifier._eta_core(ind, a, *first)
+            assert _bytes(mollifier._eta_core(ind, b, *then)) == _bytes(alone)
+    assert ind.work is work  # sized by the first window, then reused
+
+
+def test_shell_probe_frees_its_work_array(monkeypatch):
+    seen = []
+    real = mollifier._work_arrays
+
+    def recording(ind, *args):
+        views = real(ind, *args)
+        seen.append(weakref.ref(ind.work))
+        return views
+
+    monkeypatch.setattr(mollifier, "_work_arrays", recording)
+    model, domain = sde_model.brownian(3, 1.0), geometry.ball([0.0, 0.0, 0.0], 1.0)
+    generator_probe.shell_sign_check(model, domain, 0.1, 0.0, 4, seed=20260821)
+    assert len(seen) == 4
+    assert all(ref() is None for ref in seen)
 
 
 @pytest.mark.parametrize(
