@@ -3,10 +3,12 @@
 Models represent dX = a(t, x) dt + sum_k b_k(t, x) dW_k in dimension n. A
 family declares k <= n noise channels, and channel k is always driven by the
 Brownian coordinate dW_k, so a family may leave off only trailing channels that
-are identically zero. Built-in families are autonomous, but every evaluation
-threads a time argument so inhomogeneous families can be added behind the same
-interface. Coefficient callables broadcast over a leading batch axis.
-"""
+are identically zero. Every built-in family is affine, a = A x + c and
+b_k = B_k x + d_k, and fills one record (`_affine_model`) whose Jacobian is the
+constant stack of the B_k. Built-in families are autonomous, but every
+evaluation threads a time argument so inhomogeneous families can be added
+behind the same interface. Coefficient callables and the Jacobian broadcast
+over a leading batch axis."""
 
 from __future__ import annotations
 
@@ -30,10 +32,12 @@ class SdeModel:
     (m, n) for a batch. diffusion(t, x) returns the matrix b = [b_1 ... b_k]
     with the columns side by side, shape (n, k) for one point or (m, n, k) for
     a batch; it may be a read-only view, so callers must not write to it.
-    Each row of a batch equals that point evaluated alone, bit for bit.
-    jacobian(t, x) returns d b_k,i / d x_j for one point with shape (k, n, n),
-    or is None for a finite-difference fallback. Models are immutable after
-    construction and all evaluations are pure.
+    jacobian(t, x) returns d b_k,i / d x_j, shape (k, n, n) for one point or
+    (m, k, n, n) for a batch, or is None for a finite-difference fallback;
+    the built-in families, all affine, return a read-only view of their
+    constant (k, n, n) stack. Each row of a batch equals that point evaluated
+    alone, bit for bit. Models are immutable after construction and all
+    evaluations are pure.
     """
 
     dimension: int
@@ -77,40 +81,78 @@ def require_dimension(model: SdeModel, n: int, what: str) -> None:
         raise ValueError(f"the model has dimension {model.dimension}, {what} {n}")
 
 
+def _affine_map(v: np.ndarray, M: np.ndarray) -> Callable:
+    """The (t, x) callable x -> v + M x, with M of shape v.shape + (n,).
+
+    It returns one array of shape x.shape[:-1] + v.shape. Entry e is v_e when
+    v_e is nonzero, then x_j M_ej over the nonzero M_ej only, added in order
+    of j; an entry with neither is 0.0. A batch row thus has the bits of its
+    point evaluated alone, and a structurally zero term never flips the sign
+    of a zero result. A zero M with a nonzero v gives v as a read-only view,
+    and m I with v = 0 gives the one product m * x; both have those bits.
+    """
+    shape = v.shape
+    m = float(M[0, 0]) if M.ndim == 2 else 0.0  # the drift's square A
+    if v.any() and not M.any():
+        def evaluate(t, x):
+            return np.broadcast_to(v, np.shape(x)[:-1] + shape)
+    elif m and not v.any() and np.array_equal(M, m * np.eye(len(M))):
+        def evaluate(t, x):
+            return m * np.asarray(x, dtype=float)
+    else:
+        # each entry starts from v_e or from its first term, then adds the rest
+        start, first, rest = [], [], []
+        for e in np.ndindex(shape):
+            e_terms = [((...,) + e, j, float(M[e][j])) for j in np.flatnonzero(M[e]).tolist()]
+            if v[e]:
+                start.append(((...,) + e, float(v[e])))
+            elif e_terms:
+                first.append(e_terms.pop(0))
+            rest += e_terms
+        alloc = np.empty if len(start) + len(first) == v.size else np.zeros
+
+        def evaluate(t, x):
+            x = np.asarray(x, dtype=float)
+            out = alloc(x.shape[:-1] + shape)
+            for e, ve in start:
+                out[e] = ve
+            for e, j, mj in first:
+                np.multiply(x[..., j], mj, out=out[e])
+            for e, j, mj in rest:
+                o = out[e]
+                o += x[..., j] * mj
+            return out
+
+    return evaluate
+
+
+def _affine_model(family: str, params: dict, A, c, B, d) -> SdeModel:
+    """The model a = A x + c, b_k = B_k x + d_k, with A (n, n), c (n,),
+    B (k, n, n) and d (k, n) for any k >= 0 channels. Its Jacobian is a
+    read-only view of the stack B, broadcast over a batch."""
+    A, c, B, d = (np.array(coef, dtype=float) for coef in (A, c, B, d))
+    drift = _affine_map(c, A)
+    # entry (i, k) of the diffusion is d_k,i + sum_j B_k,ij x_j
+    diffusion = _affine_map(np.ascontiguousarray(d.T), B.transpose(1, 0, 2))
+
+    def jacobian(t, x):
+        return np.broadcast_to(B, np.shape(x)[:-1] + B.shape)
+
+    return SdeModel(len(A), family, drift, diffusion, jacobian, params)
+
+
 def brownian(dimension: int, scale: float = 1.0) -> SdeModel:
     """Pure diffusion: a = 0, b = scale * I (n channels)."""
-    n = _dimension(dimension)
-    s = float(scale)
-    b = s * np.eye(n)
-
-    def drift(t, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros_like(x)
-
-    def diffusion(t, x):
-        return np.broadcast_to(b, np.shape(x) + (n,))
-
-    def jac(t, x):
-        return np.zeros((n, n, n))
-
-    return SdeModel(n, "brownian", drift, diffusion, jac, {"scale": s})
+    n, s = _dimension(dimension), float(scale)
+    zero = np.zeros((n, n))
+    return _affine_model("brownian", {"scale": s}, zero, zero[0], [zero] * n, s * np.eye(n))
 
 
 def ou_inward(dimension: int, rate: float = 1.0) -> SdeModel:
     """Deterministic contraction toward the origin: a = -rate * x, no noise."""
-    n = _dimension(dimension)
-    r = float(rate)
-
-    def drift(t, x):
-        return -r * np.asarray(x, dtype=float)
-
-    def diffusion(t, x):
-        return np.zeros(np.shape(x) + (0,))
-
-    def jac(t, x):
-        return np.zeros((0, n, n))
-
-    return SdeModel(n, "ou_inward", drift, diffusion, jac, {"rate": r})
+    n, r = _dimension(dimension), float(rate)
+    none = np.zeros((0, n, n))
+    return _affine_model("ou_inward", {"rate": r}, -r * np.eye(n), np.zeros(n), none, none[:, 0])
 
 
 def rotational(spin: float = 1.0, inward_rate: float = 1.0) -> SdeModel:
@@ -121,74 +163,34 @@ def rotational(spin: float = 1.0, inward_rate: float = 1.0) -> SdeModel:
     noise never pushes across origin-centered circles.
     """
     s, rho = float(spin), float(inward_rate)
-
-    def drift(t, x):
-        return -rho * np.asarray(x, dtype=float)
-
-    def diffusion(t, x):
-        x = np.asarray(x, dtype=float)
-        b = np.empty(x.shape + (1,))
-        np.multiply(x[..., 1], -s, out=b[..., 0, 0])
-        np.multiply(x[..., 0], s, out=b[..., 1, 0])
-        return b
-
-    def jac(t, x):
-        out = np.zeros((1, 2, 2))
-        out[0, 0, 1] = -s
-        out[0, 1, 0] = s
-        return out
-
-    return SdeModel(
-        2, "rotational", drift, diffusion, jac, {"spin": s, "inward_rate": rho}
+    return _affine_model(
+        "rotational", {"spin": s, "inward_rate": rho}, -rho * np.eye(2), np.zeros(2),
+        [[[0.0, -s], [s, 0.0]]], np.zeros((1, 2)),
     )
 
 
 def linear(A, c=None, B=None, d=None) -> SdeModel:
-    """Affine family: a = A x + c, b_k = B_k x + d_k.
+    """Affine family: a = A x + c, b_k = B_k x + d_k with n channels.
 
-    B is a sequence of n matrices and d a sequence of n vectors (zeros when
-    omitted). The analytic Jacobian is verified against finite differences on
-    construction.
+    A is an (n, n) matrix, c an (n,) vector, B a sequence of n matrices
+    (n, n) and d a sequence of n vectors (n,); c, B and d are zeros when
+    omitted. A ValueError unless the shapes are these and every entry is
+    finite.
     """
     A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("A must be square")
-    c = np.zeros(n) if c is None else np.asarray(c, dtype=float)
-    if B is None:
-        B = [np.zeros((n, n)) for _ in range(n)]
-    B = [np.asarray(Bk, dtype=float) for Bk in B]
-    if d is None:
-        d = [np.zeros(n) for _ in range(n)]
-    d = [np.asarray(dk, dtype=float) for dk in d]
-    if len(B) != n or len(d) != n:
-        raise ValueError("need one B matrix and one d vector per channel")
-
-    def drift(t, x):
-        return _affine(A, c, np.asarray(x, dtype=float))
-
-    def diffusion(t, x):
-        x = np.asarray(x, dtype=float)
-        return np.stack([_affine(Bk, dk, x) for Bk, dk in zip(B, d)], axis=-1)
-
-    jac_stack = np.stack(B)
-
-    def jac(t, x):
-        return jac_stack
-
-    model = SdeModel(
-        n, "linear", drift, diffusion, jac,
-        {"A": A, "c": c, "B": [Bk for Bk in B], "d": [dk for dk in d]},
-    )
-    _self_test_jacobian(model)
-    return model
-
-
-def _affine(M: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """v + M x for a point (n,) or each row of a batch (m, n), summed term by
-    term so a row equals the point evaluated alone bit for bit (a BLAS
-    product x @ M.T may round a row differently inside a batch)."""
-    return sum((x[..., j, None] * M[:, j] for j in range(M.shape[1])), v)
+    if A.ndim != 2 or not 1 <= len(A) == A.shape[1]:
+        raise ValueError(f"A must be a square matrix, got shape {A.shape}")
+    n = len(A)
+    coef = {"A": A}
+    for name, value, shape in (("c", c, (n,)), ("B", B, (n, n, n)), ("d", d, (n, n))):
+        value = np.zeros(shape) if value is None else np.asarray(value, dtype=float)
+        if value.shape != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
+        coef[name] = value
+    for name, value in coef.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} has a non-finite entry")
+    return _affine_model("linear", coef, **coef)
 
 
 def outward(dimension: int, rate: float = 1.0) -> SdeModel:
@@ -215,16 +217,6 @@ def from_config(cfg: dict) -> SdeModel:
     return FAMILIES[family](**args)
 
 
-def _self_test_jacobian(model: SdeModel, points: int = 3, seed: int = 424242):
-    rng = np.random.default_rng(seed)
-    for _ in range(points):
-        x = rng.uniform(-1.0, 1.0, size=model.dimension)
-        ana = model.jacobian(0.0, x)
-        num = _fd_jacobian(model, 0.0, x)
-        if not np.allclose(ana, num, rtol=1e-8, atol=1e-8):
-            raise ValueError("analytic diffusion Jacobian disagrees with finite differences")
-
-
 def _fd_jacobian(model: SdeModel, s: float, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     h = FD_REL_STEP * (1.0 + float(np.linalg.norm(x)))
@@ -245,14 +237,19 @@ def sigma(model: SdeModel, s: float, x) -> np.ndarray:
 
 
 def diffusion_jacobian(model: SdeModel, s: float, x) -> np.ndarray:
-    """d b_k,i / d x_j stacked over channels, shape (k, n, n).
+    """d b_k,i / d x_j stacked over channels, shape (k, n, n) for a point or
+    (m, k, n, n) for a batch; it may be a read-only view.
 
-    Analytic for the built-in families; central finite differences with step
-    1e-6 * (1 + |x|) otherwise.
+    The model's own Jacobian when it has one (every built-in family does);
+    otherwise central finite differences with step 1e-6 * (1 + |x|), taken
+    row by row for a batch.
     """
+    x = np.asarray(x, dtype=float)
     if model.jacobian is not None:
-        return model.jacobian(s, np.asarray(x, dtype=float))
-    return _fd_jacobian(model, s, np.asarray(x, dtype=float))
+        return model.jacobian(s, x)
+    if x.ndim == 1:
+        return _fd_jacobian(model, s, x)
+    return np.stack([_fd_jacobian(model, s, z) for z in x])
 
 
 def _sampled_max(values: np.ndarray) -> float:

@@ -304,14 +304,13 @@ def condition2_verdict(
 def _pressure(model: SdeModel) -> Callable[[float, np.ndarray, np.ndarray], np.ndarray]:
     """The condition-3 functional on rows: a . nu - 1/2 sum_k nu^T (Db_k) b_k.
 
-    The Jacobian is evaluated per row (SdeModel.jacobian takes one point);
-    everything else is one batch, and every product is a stacked matmul, so
-    a row has the bits of that point evaluated alone.
+    Every coefficient, the Jacobian included, is one batch, and every product
+    is a stacked matmul, so a row has the bits of that point evaluated alone.
     """
 
     def values(s, Z, N):
         a = model.drift(s, Z)
-        jac = np.stack([sde_model.diffusion_jacobian(model, s, z) for z in Z])
+        jac = sde_model.diffusion_jacobian(model, s, Z)
         b = model.diffusion(s, Z)
         corr = np.zeros(len(Z))
         for k in range(b.shape[-1]):

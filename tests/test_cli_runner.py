@@ -254,6 +254,16 @@ def test_main_exit_codes_for_bad_configs(tmp_path):
         name="mismatch.json",
     )
     assert cli_runner.main(["check", "--config", mismatch, "--out", str(tmp_path)]) == 3
+    # a linear model's c must have one entry per coordinate, not broadcast
+    short_c = write_config(
+        tmp_path,
+        {
+            "model": {"family": "linear", "A": [[-1.0, 0.0], [0.0, -1.0]], "c": [0.5]},
+            "domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+        },
+        name="short_c.json",
+    )
+    assert cli_runner.main(["check", "--config", short_c, "--out", str(tmp_path)]) == 3
     # unreadable and unparsable files
     assert (
         cli_runner.main(

@@ -106,13 +106,17 @@ FAMILY_IDS = ["brownian", "ou_inward", "rotational", "linear", "zero"]
 @pytest.mark.parametrize("model,k", FAMILIES, ids=FAMILY_IDS)
 def test_diffusion_jacobian_matches_finite_differences(model, k):
     n = model.dimension
-    rng = np.random.default_rng(9)
-    for _ in range(5):
-        x = rng.uniform(-1.5, 1.5, size=n)
+    X = np.random.default_rng(9).uniform(-1.5, 1.5, size=(5, n))
+    for x in X:
         ana = sde_model.diffusion_jacobian(model, 0.0, x)
         num = sde_model._fd_jacobian(model, 0.0, x)
         assert ana.shape == num.shape == (k, n, n)
         np.testing.assert_allclose(ana, num, atol=1e-8)
+    # a batch is the stack of its rows
+    batch = sde_model.diffusion_jacobian(model, 0.0, X)
+    rows = np.stack([sde_model.diffusion_jacobian(model, 0.0, x) for x in X])
+    assert batch.shape == (5, k, n, n)
+    assert batch.tobytes() == rows.tobytes()
 
 
 def test_diffusion_jacobian_fd_fallback():
@@ -134,13 +138,38 @@ def test_diffusion_jacobian_fd_fallback():
         [[[x[1] * np.cos(x[0]), np.sin(x[0])], [2.0 * x[0], 0.0]]]
     )
     np.testing.assert_allclose(got, expected, atol=1e-6)
+    # a batch takes the differences row by row, so it is the stack of its rows
+    X = np.array([[0.4, -0.8], [0.0, 0.0], [-1.3, 2.1]])
+    batch = sde_model.diffusion_jacobian(model, 0.0, X)
+    rows = np.stack([sde_model.diffusion_jacobian(model, 0.0, x) for x in X])
+    assert batch.shape == (3, 1, 2, 2)
+    assert batch.tobytes() == rows.tobytes()
 
 
 def test_linear_rejects_inconsistent_shapes():
-    with pytest.raises(ValueError):
-        sde_model.linear(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        sde_model.linear(np.zeros((2, 2)), B=[np.zeros((2, 2))])
+    for args in (
+        dict(A=np.zeros((2, 3))),
+        dict(A=np.zeros(2)),
+        dict(A=0.0),
+        dict(A=np.zeros((0, 0))),
+        # n channels: one B matrix and one d vector per coordinate
+        dict(A=np.zeros((2, 2)), B=[np.zeros((2, 2))]),
+        dict(A=np.zeros((2, 2)), d=[np.zeros(2)]),
+        # c, B_k and d_k are not broadcast
+        dict(A=-np.eye(2), c=[0.5]),
+        dict(A=-np.eye(2), c=[0.5, 0.5, 0.5]),
+        dict(A=-np.eye(2), B=[np.zeros((1, 2)), np.zeros((1, 2))]),
+        dict(A=-np.eye(2), B=[np.zeros((2, 1)), np.zeros((2, 1))]),
+        dict(A=-np.eye(2), d=[[0.1], [0.2]]),
+        dict(A=-np.eye(2), d=[0.1, 0.2]),
+        # every entry is finite
+        dict(A=[[np.nan, 0.0], [0.0, -1.0]]),
+        dict(A=-np.eye(2), c=[np.inf, 0.0]),
+        dict(A=-np.eye(2), B=[[[np.nan, 0.0], [0.0, 0.0]], np.zeros((2, 2))]),
+        dict(A=-np.eye(2), d=[[0.0, -np.inf], [0.0, 0.0]]),
+    ):
+        with pytest.raises(ValueError):
+            sde_model.linear(**args)
 
 
 def test_outward_drift_points_away_from_origin():
@@ -324,3 +353,155 @@ def test_from_config_dispatches_families():
         for dimension in (None, 0, 2.0, "2"):
             with pytest.raises(ValueError):
                 build(dimension)
+
+
+# Verbatim copies of the per-family closures that the one affine record
+# replaced (with _affine, which the old linear summed through; its
+# finite-difference self test is left out).
+def _reference_brownian(dimension: int, scale: float = 1.0):
+    n = dimension
+    s = float(scale)
+    b = s * np.eye(n)
+
+    def drift(t, x):
+        x = np.asarray(x, dtype=float)
+        return np.zeros_like(x)
+
+    def diffusion(t, x):
+        return np.broadcast_to(b, np.shape(x) + (n,))
+
+    def jac(t, x):
+        return np.zeros((n, n, n))
+
+    return sde_model.SdeModel(n, "brownian", drift, diffusion, jac, {"scale": s})
+
+
+def _reference_ou_inward(dimension: int, rate: float = 1.0):
+    n = dimension
+    r = float(rate)
+
+    def drift(t, x):
+        return -r * np.asarray(x, dtype=float)
+
+    def diffusion(t, x):
+        return np.zeros(np.shape(x) + (0,))
+
+    def jac(t, x):
+        return np.zeros((0, n, n))
+
+    return sde_model.SdeModel(n, "ou_inward", drift, diffusion, jac, {"rate": r})
+
+
+def _reference_rotational(spin: float = 1.0, inward_rate: float = 1.0):
+    s, rho = float(spin), float(inward_rate)
+
+    def drift(t, x):
+        return -rho * np.asarray(x, dtype=float)
+
+    def diffusion(t, x):
+        x = np.asarray(x, dtype=float)
+        b = np.empty(x.shape + (1,))
+        np.multiply(x[..., 1], -s, out=b[..., 0, 0])
+        np.multiply(x[..., 0], s, out=b[..., 1, 0])
+        return b
+
+    def jac(t, x):
+        out = np.zeros((1, 2, 2))
+        out[0, 0, 1] = -s
+        out[0, 1, 0] = s
+        return out
+
+    return sde_model.SdeModel(
+        2, "rotational", drift, diffusion, jac, {"spin": s, "inward_rate": rho}
+    )
+
+
+def _reference_linear(A, c=None, B=None, d=None):
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise ValueError("A must be square")
+    c = np.zeros(n) if c is None else np.asarray(c, dtype=float)
+    if B is None:
+        B = [np.zeros((n, n)) for _ in range(n)]
+    B = [np.asarray(Bk, dtype=float) for Bk in B]
+    if d is None:
+        d = [np.zeros(n) for _ in range(n)]
+    d = [np.asarray(dk, dtype=float) for dk in d]
+    if len(B) != n or len(d) != n:
+        raise ValueError("need one B matrix and one d vector per channel")
+
+    def drift(t, x):
+        return _reference_affine(A, c, np.asarray(x, dtype=float))
+
+    def diffusion(t, x):
+        x = np.asarray(x, dtype=float)
+        return np.stack([_reference_affine(Bk, dk, x) for Bk, dk in zip(B, d)], axis=-1)
+
+    jac_stack = np.stack(B)
+
+    def jac(t, x):
+        return jac_stack
+
+    return sde_model.SdeModel(
+        n, "linear", drift, diffusion, jac,
+        {"A": A, "c": c, "B": [Bk for Bk in B], "d": [dk for dk in d]},
+    )
+
+
+def _reference_affine(M, v, x):
+    return sum((x[..., j, None] * M[:, j] for j in range(M.shape[1])), v)
+
+
+LINEAR_SPARSE = dict(
+    A=[[-1.0, 0.0, 0.3], [0.0, 0.0, 0.0], [0.2, -0.5, -0.8]],
+    c=[0.0, 0.1, -0.2],
+    B=[[[0.0, 0.4, 0.0], [-0.3, 0.0, 0.0], [0.0, 0.0, 0.0]],
+       [[0.2, 0.0, -0.1], [0.0, 0.0, 0.0], [0.0, 0.5, 0.0]],
+       np.zeros((3, 3))],
+    d=[[0.0, 0.05, 0.0], [0.0, 0.0, 0.0], [0.1, -0.1, 0.2]],
+)
+# (new model, reference model, whether the reference may differ in the sign
+# of an exact-zero entry: the old linear started every sum at v and added
+# the structurally zero terms, so 0.0 + -0.0 came out as 0.0)
+REFERENCE_PAIRS = {
+    "brownian1": (sde_model.brownian(1, 0.7), _reference_brownian(1, 0.7), False),
+    "brownian3": (sde_model.brownian(3, 1.3), _reference_brownian(3, 1.3), False),
+    "brownian2_negative": (sde_model.brownian(2, -0.5), _reference_brownian(2, -0.5), False),
+    "ou_inward2": (sde_model.ou_inward(2, 1.5), _reference_ou_inward(2, 1.5), False),
+    "ou_inward3": (sde_model.ou_inward(3, -0.4), _reference_ou_inward(3, -0.4), False),
+    "rotational": (sde_model.rotational(1.7, 0.3), _reference_rotational(1.7, 0.3), False),
+    "linear_sparse": (sde_model.linear(**LINEAR_SPARSE), _reference_linear(**LINEAR_SPARSE), True),
+    "linear_zero": (sde_model.linear(np.zeros((2, 2))), _reference_linear(np.zeros((2, 2))), False),
+    "outward": (sde_model.outward(2, 0.7), _reference_linear(0.7 * np.eye(2)), True),
+}
+
+
+def _points(n):
+    """Random rows, rows with exact +-0.0 coordinates, and all-zero rows."""
+    X = np.random.default_rng(n).uniform(-2.0, 2.0, size=(64, n))
+    X[::3, 0] = 0.0
+    X[1::3, -1] = -0.0
+    X[2::5] = 0.0
+    X[4::7] = -0.0
+    return X
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_PAIRS))
+def test_affine_record_matches_the_per_family_closures(name):
+    new, old, zero_sign_may_differ = REFERENCE_PAIRS[name]
+    assert (new.dimension, new.family) == (old.dimension, old.family)
+    X = _points(new.dimension)
+    for x in (X, X[::2], *X[:12]):
+        for f, g in ((new.drift, old.drift), (new.diffusion, old.diffusion)):
+            got, want = np.asarray(f(0.0, x)), np.asarray(g(0.0, x))
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+            if zero_sign_may_differ:
+                got, want = got + 0.0, want + 0.0  # -0.0 + 0.0 is 0.0
+            assert got.tobytes() == want.tobytes()
+        # the Jacobian is the stored stack, for a point or each row of a batch
+        stack = old.jacobian(0.0, x[..., 0, :] if x.ndim == 2 else x)
+        jac = new.jacobian(0.0, x)
+        assert jac.shape == x.shape[:-1] + stack.shape
+        assert jac.tobytes() == np.broadcast_to(stack, jac.shape).tobytes()

@@ -1,6 +1,6 @@
 """Tests for the boundary condition profiles and their verdict rules."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -139,7 +139,7 @@ def test_condition3_profile_honors_time_grid():
         return np.zeros(np.shape(x) + (1,))
 
     def jac(t, x):
-        return np.zeros((1, 2, 2))
+        return np.zeros(np.shape(x)[:-1] + (1, 2, 2))
 
     model = sde_model.SdeModel(2, "custom", drift, diffusion, jac, {})
     late = theorem_checker.condition3_profile(
@@ -406,9 +406,9 @@ def _nan_model():
         return np.where(bad[..., None, None], np.nan, b)
 
     def jac(t, x):
-        out = np.zeros((1, 2, 2))
-        out[0, 0, 1] = -0.3
-        out[0, 1, 0] = 0.3
+        out = np.zeros(np.shape(x)[:-1] + (1, 2, 2))
+        out[..., 0, 0, 1] = -0.3
+        out[..., 0, 1, 0] = 0.3
         return out
 
     return sde_model.SdeModel(2, "nan_at_some_samples", drift, diffusion, jac, {})
@@ -444,6 +444,10 @@ ASCENT_CASES = {
     "offcentre_disk_rotational": (lambda: geometry.ball([0.02, 0.0], 1.0),
                                   lambda: sde_model.rotational(0.1, 1.0), (0.0,)),
     "ball2d_nan_two_times": (lambda: geometry.ball([0.0, 0.0], 1.0), _nan_model, (0.0, 0.5)),
+    # no Jacobian: the condition-3 functional takes finite differences row by row
+    "ellipse2d_linear_fd_jacobian": (
+        lambda: geometry.ellipsoid([0.0, 0.0], [1.5, 1.0]),
+        lambda: replace(sde_model.linear(**LINEAR_2D), jacobian=None), (0.0,)),
 }
 
 
