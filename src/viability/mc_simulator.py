@@ -7,11 +7,14 @@ horizon: a shorter last window draws the leading rows of the full window, so
 every increment equals the one a full-window draw gives. A block derives the
 Philox keys of all its paths in one vectorised hash (seeds.path_keys), and a
 model with no noise channels (k = 0) draws nothing. Every time step runs in
-one block loop, _simulate_block. exit_probability and final_states run their
-paths on every CPU in the process's affinity mask through sharding.split_rows
-(_simulate_rows), so estimates are bit-identical for any CPU count. Path i
-replays alone as a one-row _simulate_block(model, domain, x[None], T, dt, seed,
-i), which matches row i of any batch bit for bit by construction.
+one block loop, _simulate_block, run coordinate-major: states by column,
+increments as (step, channel, path) and, for the affine families, coefficients
+by column too (sde_model._affine_map), so each elementwise pass runs down
+whole columns. exit_probability and final_states run their paths on every CPU
+in the process's affinity mask through sharding.split_rows (_simulate_rows),
+so estimates are bit-identical for any CPU count. Path i replays alone as a
+one-row _simulate_block(model, domain, x[None], T, dt, seed, i), which matches
+row i of any batch bit for bit by construction.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ WINDOW = 1024  # steps per increment draw; a path reads its stream in order, so
 # the width moves no increment and sets only the memory of a window, which
 # holds live paths x width x k doubles for k noise channels
 BLOCK = 2048  # paths simulated per vectorized block
+CHUNK = 64  # paths whose normals are drawn into one buffer, then scaled and
+# transposed into the window together
 Z95 = 1.959963984540054
 
 
@@ -111,15 +116,19 @@ def _simulate_block(model, domain, starts, T, dt, seed, first_index):
     path's key with counter 0 on its first window, the state it left off at
     on a later one. Each window draws a (width, k) array per live path, one
     normal per step and noise channel, width = min(WINDOW, steps left to the
-    horizon), into one (live, width, k) array; these are the leading rows of
-    the full (WINDOW, k) window, so the stream layout does not depend on the
-    horizon. With k = 0 the block derives no keys and draws nothing. A path
+    horizon); these are the leading rows of the full (WINDOW, k) window, so
+    the stream layout does not depend on the horizon. CHUNK paths at a time
+    draw into one C-ordered buffer (the generator refuses a strided output),
+    which one multiply scales by sqrt(dt) into the window's (width, k, live)
+    array. The live states are a Fortran-ordered (live, n) array and step j
+    adds the columns of dW[j].T; stopped rows are compressed out column by
+    column. With k = 0 the block derives no keys and draws nothing. A path
     stops after the first step that overflows or leaves the domain (never
     when domain is None): domain.outside, when the kind has one, else a
     positive signed_level.
-    Returns per-path arrays (states, steps, exited, nonfinite): the state and
-    step count at the stop or the horizon, and which of the two stops ended
-    the path.
+    Returns per-path arrays (states, steps, exited, nonfinite), states
+    C-ordered: the state and step count at the stop or the horizon, and
+    which of the two stops ended the path.
     """
     n_steps = _n_steps(T, dt)
     B = len(starts)
@@ -129,8 +138,8 @@ def _simulate_block(model, domain, starts, T, dt, seed, first_index):
     fresh = gen.bit_generator.state  # counter 0; its key is swapped per path
     keys = path_keys(seed, np.arange(first_index, first_index + B)) if k else None
     resume = {}  # path -> its Philox state at the start of the next window
-    x = np.array(starts, dtype=float)  # states of the live paths
-    states = x.copy()
+    x = np.array(starts, dtype=float, order="F")  # states of the live paths
+    states = np.array(starts, dtype=float)
     steps = np.full(B, n_steps)
     exited, nonfinite = np.zeros((2, B), dtype=bool)
     live = np.arange(B)  # path of each row of x
@@ -143,27 +152,31 @@ def _simulate_block(model, domain, starts, T, dt, seed, first_index):
         flag[live[mask]] = True
         states[live[mask]] = x[mask]
         steps[live[mask]] = taken
-        live, rows, x = live[~mask], rows[~mask], x[~mask]
+        live, rows, x = live[~mask], rows[~mask], x.T.compress(~mask, axis=1).T
 
     for start in range(0, n_steps, WINDOW):
         if not live.size:
             break
         width = min(WINDOW, n_steps - start)
-        dW = np.empty((live.size, width, k))
-        for r, i in enumerate(live.tolist() if k else ()):
-            if start:
-                gen.bit_generator.state = resume.pop(i)
-            else:
-                fresh["state"]["key"] = keys[i]
-                gen.bit_generator.state = fresh
-            gen.standard_normal(out=dW[r])
-            if start + width < n_steps:
-                resume[i] = gen.bit_generator.state
-        dW *= np.sqrt(dt)
-        rows = None  # row of dW for each row of x, once a path has stopped
+        dW = np.empty((width, k, live.size))
+        chunk = np.empty((min(CHUNK, live.size), width, k))
+        for c in range(0, live.size if k else 0, len(chunk)):
+            paths = live[c : c + len(chunk)].tolist()
+            for r, i in enumerate(paths):
+                if start:
+                    gen.bit_generator.state = resume.pop(i)
+                else:
+                    fresh["state"]["key"] = keys[i]
+                    gen.bit_generator.state = fresh
+                gen.standard_normal(out=chunk[r])
+                if start + width < n_steps:
+                    resume[i] = gen.bit_generator.state
+            part = chunk[: len(paths)].transpose(1, 2, 0)
+            np.multiply(part, np.sqrt(dt), out=dW[:, :, c : c + len(paths)])
+        rows = None  # column of dW[j] for each row of x, once a path has stopped
         for j in range(width):
             s = start + j
-            inc = dW[:, j] if rows is None else dW[rows, j]
+            inc = dW[j].T if rows is None else dW[j].take(rows, axis=1).T
             x = _em_update(model, s * dt, x, dt, inc)
             if not np.isfinite(x).all():
                 stop(~np.isfinite(x).all(axis=1), nonfinite, s + 1)

@@ -36,8 +36,10 @@ class SdeModel:
     (m, k, n, n) for a batch, or is None for a finite-difference fallback;
     the built-in families, all affine, return a read-only view of their
     constant (k, n, n) stack. Each row of a batch equals that point evaluated
-    alone, bit for bit. Models are immutable after construction and all
-    evaluations are pure.
+    alone, bit for bit. A batch may arrive Fortran-ordered (the simulator
+    holds its states by column), so callables must treat it as any (m, n)
+    array and may return either layout. Models are immutable after
+    construction and all evaluations are pure.
     """
 
     dimension: int
@@ -81,6 +83,11 @@ def require_dimension(model: SdeModel, n: int, what: str) -> None:
         raise ValueError(f"the model has dimension {model.dimension}, {what} {n}")
 
 
+def _order(x: np.ndarray) -> str:
+    """"F" for a Fortran-ordered batch that is not also C-ordered, else "C"."""
+    return "F" if x.flags.f_contiguous and not x.flags.c_contiguous else "C"
+
+
 def _affine_map(v: np.ndarray, M: np.ndarray) -> Callable:
     """The (t, x) callable x -> v + M x, with M of shape v.shape + (n,).
 
@@ -90,12 +97,19 @@ def _affine_map(v: np.ndarray, M: np.ndarray) -> Callable:
     point evaluated alone, and a structurally zero term never flips the sign
     of a zero result. A zero M with a nonzero v gives v as a read-only view,
     and m I with v = 0 gives the one product m * x; both have those bits.
+    The output follows the input's layout: a batch that is Fortran-ordered
+    and not C-ordered gets a Fortran-ordered array (a filled one in place of
+    the view), and any other input gets a C-ordered one or the view, whose
+    strides rows.row_dot's bits depend on.
     """
     shape = v.shape
     m = float(M[0, 0]) if M.ndim == 2 else 0.0  # the drift's square A
     if v.any() and not M.any():
         def evaluate(t, x):
-            return np.broadcast_to(v, np.shape(x)[:-1] + shape)
+            x = np.asarray(x, dtype=float)
+            if _order(x) == "F":
+                return np.full(x.shape[:-1] + shape, v, order="F")
+            return np.broadcast_to(v, x.shape[:-1] + shape)
     elif m and not v.any() and np.array_equal(M, m * np.eye(len(M))):
         def evaluate(t, x):
             return m * np.asarray(x, dtype=float)
@@ -113,7 +127,7 @@ def _affine_map(v: np.ndarray, M: np.ndarray) -> Callable:
 
         def evaluate(t, x):
             x = np.asarray(x, dtype=float)
-            out = alloc(x.shape[:-1] + shape)
+            out = alloc(x.shape[:-1] + shape, order=_order(x))
             for e, ve in start:
                 out[e] = ve
             for e, j, mj in first:

@@ -387,11 +387,12 @@ def test_failing_span_raises_in_caller_and_leaves_no_child(monkeypatch, failing_
 
 def _full_window_reference(model, domain, starts, n_steps, dt, seed, first_index):
     """Each path alone: whole (WINDOW, k) windows from its stream, one normal
-    per step and noise channel, em_step (the copy above)."""
+    per step and noise channel, em_step (the copy above). A path whose step
+    overflows stops there with the out-of-place formula's state."""
     W = mc_simulator.WINDOW
     states = np.array(starts, dtype=float)
     steps = np.full(len(starts), n_steps)
-    exited = np.zeros(len(starts), dtype=bool)
+    exited, nonfinite = np.zeros((2, len(starts)), dtype=bool)
     for i in range(len(starts)):
         gen = seeds.path_generator(seed, first_index + i)
         x = states[i]
@@ -399,12 +400,17 @@ def _full_window_reference(model, domain, starts, n_steps, dt, seed, first_index
         for s in range(n_steps):
             if s % W == 0:
                 dW = gen.standard_normal((W, k)) * np.sqrt(dt)
-            x = em_step(model, s * dt, x, dt, dW[s % W])
+            try:
+                x = em_step(model, s * dt, x, dt, dW[s % W])
+            except NonFinite:
+                x = _em_out_of_place(model, s * dt, x, dt, dW[s % W])
+                nonfinite[i], steps[i] = True, s + 1
+                break
             if domain is not None and geometry.signed_level(domain, x[None])[0] > 0.0:
                 exited[i], steps[i] = True, s + 1
                 break
         states[i] = x
-    return states, steps, exited
+    return states, steps, exited, nonfinite
 
 
 # (model, domain, starts): brownian has k = n = 3 noise channels; rotational
@@ -428,17 +434,133 @@ def test_kernel_matches_full_window_reference(extra, with_domain):
         states, steps, exited, nonfinite = mc_simulator._simulate_block(
             model, domain, starts, n_steps * dt, dt, 5, 3
         )
-        ref_states, ref_steps, ref_exited = _full_window_reference(
+        ref_states, ref_steps, ref_exited, ref_nonfinite = _full_window_reference(
             model, domain, starts, n_steps, dt, 5, 3
         )
         np.testing.assert_array_equal(states, ref_states)
         np.testing.assert_array_equal(steps, ref_steps)
         np.testing.assert_array_equal(exited, ref_exited)
-        assert not nonfinite.any()
+        assert not nonfinite.any() and not ref_nonfinite.any()
         if with_domain:
             assert 0 < exited.sum() < len(starts)
         else:
             assert not exited.any()
+
+
+def _cubic_model():
+    """A non-affine model, a = c - x**3 with a constant diffusion, whose
+    callables ignore the layout they are given: the drift comes back
+    C-ordered for any input, and the diffusion is a stride-0 view."""
+    b = np.array([[0.6, 0.2], [0.0, 0.5]])
+    c = np.array([0.4, 0.0])
+
+    def drift(t, x):
+        return np.ascontiguousarray(c - np.asarray(x, dtype=float) ** 3)
+
+    def diffusion(t, x):
+        return np.broadcast_to(b, np.shape(x) + (2,))
+
+    return sde_model.SdeModel(2, "cubic", drift, diffusion, None, {})
+
+
+def test_kernel_runs_any_model_whatever_layout_it_returns(monkeypatch):
+    """The coordinate-major loop makes no layout demand of a model: a
+    non-affine model whose callables return C-ordered arrays and a stride-0
+    diffusion gets em_step's bits, path by path, over windows of 16 steps and
+    draw chunks of 5 paths (a short last chunk), with paths that exit in
+    different windows and one that overflows on its second step."""
+    monkeypatch.setattr(mc_simulator, "WINDOW", 16)
+    monkeypatch.setattr(mc_simulator, "CHUNK", 5)
+    model = _cubic_model()
+    # the level x_1 - 0.5: paths leave across the line x_1 = 0.5
+    domain = geometry.ImplicitDomain(
+        dimension=2,
+        kind="custom",
+        center=np.zeros(2),
+        level_fn=lambda x: np.asarray(x, dtype=float)[..., 0] - 0.5,
+        gradient_fn=lambda x: np.array([1.0, 0.0]),
+        hessian_fn=lambda x: np.zeros((2, 2)),
+        **SIMULATOR_ONLY,
+    )
+    starts = np.zeros((12, 2))
+    starts[5, 1] = 1e100  # -x**3 dt throws it to -1.6e298, then past the range
+    n_steps, dt = 100, 2.0**-6
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = mc_simulator._simulate_block(model, domain, starts, n_steps * dt, dt, 7, 4)
+        want = _full_window_reference(model, domain, starts, n_steps, dt, 7, 4)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    states, steps, exited, nonfinite = got
+    assert list(np.flatnonzero(nonfinite)) == [5] and steps[5] == 2
+    assert 0 < exited.sum() < 11
+    assert np.unique(steps[exited] // 16).size > 1
+
+
+@forking
+def test_states_come_back_c_ordered(monkeypatch):
+    """The loop holds states coordinate-major, but _simulate_block,
+    _simulate_rows and final_states hand back C-ordered (m, n) arrays:
+    lemma1_gap feeds final states to rows.row_dot, whose bits depend on the
+    strides."""
+    model = _affine_model()
+    domain = geometry.ball([0.0, 0.0], 1.5)
+    starts = np.random.default_rng(3).uniform(-0.5, 0.5, size=(40, 2))
+    states = mc_simulator._simulate_block(model, domain, starts, 0.5, 0.01, 9, 0)[0]
+    assert states.flags.c_contiguous
+    monkeypatch.setattr(mc_simulator, "BLOCK", 16)
+    for w in (1, 2):
+        _on_cpus(monkeypatch, w)
+        rows = mc_simulator._simulate_rows(model, domain, starts, 0.5, 0.01, 9)[0]
+        finals = mc_simulator.final_states(model, starts, 0.5, 0.01, seed=9)
+        assert rows.flags.c_contiguous and finals.flags.c_contiguous
+        assert rows.tobytes() == states.tobytes()
+        _assert_no_child_left()
+
+
+def _ball_exit_series(n, t, terms=40):
+    """P(a standard Brownian motion from the centre of the unit ball in
+    R^n leaves it by time t), for n = 2 or 3: the eigenfunction series
+    1 - 2 sum (-1)^(k+1) exp(-k^2 pi^2 t / 2) in 3-D, and
+    1 - sum 2 / (j_k J_1(j_k)) exp(-j_k^2 t / 2) over the zeros j_k of J_0
+    in 2-D."""
+    if n == 3:
+        k = np.arange(1, terms + 1)
+        return 1.0 - 2.0 * np.sum((-1.0) ** (k + 1) * np.exp(-k * k * np.pi**2 * t / 2.0))
+    from scipy.special import j1, jn_zeros
+
+    j = jn_zeros(0, terms)
+    return 1.0 - np.sum(2.0 / (j * j1(j)) * np.exp(-j * j * t / 2.0))
+
+
+def test_ball_exit_series_values():
+    assert _ball_exit_series(3, 0.25) == pytest.approx(0.43193, abs=1e-5)
+    assert _ball_exit_series(2, 0.25) == pytest.approx(0.24603, abs=1e-5)
+
+
+# Tolerance in standard errors. Over seeds 1-20 at 4096 paths, z ranged
+# from -3.4 to +2.9 in 3-D and from -2.5 to +2.3 in 2-D at dt 0.005, 0.004
+# and 0.0025; at dt 0.004 the series taken at T instead of the horizon
+# shifts the mean z by -0.7 in 3-D.
+EXIT_Z_TOL = 4.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("dt", [0.0025, 0.004])
+def test_brownian_exit_estimate_matches_the_series(n, dt):
+    """An oracle that is not more Monte Carlo: EM exits of Brownian motion
+    from the centre of the unit ball, observed only at grid times, match the
+    continuous exit probability from the ball of radius
+    R = 1 + 0.5826 sqrt(dt) (Broadie, Glasserman and Kou 1997), which by
+    scaling is P_1(t / R^2), taken at the simulated horizon
+    round(T / dt) dt: dt 0.004 runs 62 steps, to 0.248."""
+    T, n_paths = 0.25, 4096
+    horizon = mc_simulator._n_steps(T, dt) * dt
+    R = 1.0 + 0.5826 * np.sqrt(dt)
+    p = _ball_exit_series(n, horizon / R**2)
+    est = mc_simulator.exit_probability(
+        sde_model.brownian(n), geometry.ball([0.0] * n, 1.0), np.zeros(n), T, dt, n_paths, seed=1
+    )
+    z = (est.p_hat - p) / np.sqrt(p * (1.0 - p) / n_paths)
+    assert abs(z) <= EXIT_Z_TOL, (n, dt, est.p_hat, p, z)
 
 
 def test_exit_count_monotone_in_horizon():

@@ -505,3 +505,41 @@ def test_affine_record_matches_the_per_family_closures(name):
         jac = new.jacobian(0.0, x)
         assert jac.shape == x.shape[:-1] + stack.shape
         assert jac.tobytes() == np.broadcast_to(stack, jac.shape).tobytes()
+
+
+# One model per built-in family; each coefficient is an _affine_map evaluator.
+LAYOUT_FAMILIES = {
+    "brownian": sde_model.brownian(3, 1.3),
+    "ou_inward": sde_model.ou_inward(3, 0.4),
+    "rotational": sde_model.rotational(1.7, 0.3),
+    "linear": sde_model.linear(**LINEAR_SPARSE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_FAMILIES))
+def test_affine_map_keeps_a_c_ordered_batch_c_ordered(name):
+    """A C-ordered batch, as the check and the probe pass, gets C-ordered
+    coefficients; brownian's constant diffusion stays the read-only stride-0
+    view it always was, since rows.row_dot's bits depend on the strides."""
+    model = LAYOUT_FAMILIES[name]
+    X = _points(model.dimension)
+    assert model.drift(0.0, X).flags.c_contiguous
+    b = model.diffusion(0.0, X)
+    if name == "brownian":
+        assert b.strides[0] == 0 and not b.flags.writeable
+    else:
+        assert b.flags.c_contiguous
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_FAMILIES))
+def test_affine_map_follows_a_coordinate_major_batch(name):
+    """A Fortran-ordered batch, as the simulator passes, gets Fortran-ordered
+    coefficients with the bits of the C-ordered batch."""
+    model = LAYOUT_FAMILIES[name]
+    X = _points(model.dimension)
+    XF = np.asfortranarray(X)
+    assert XF.flags.f_contiguous and not XF.flags.c_contiguous
+    for f in (model.drift, model.diffusion):
+        got = f(0.0, XF)
+        assert got.flags.f_contiguous
+        assert got.tobytes() == f(0.0, X).tobytes()
