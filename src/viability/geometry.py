@@ -55,7 +55,10 @@ class ImplicitDomain:
 
     Built-in kinds: ball, ellipsoid, even_p_norm_ball. The level function of a
     ball is the exact signed Euclidean distance; the other kinds use smooth
-    polynomial levels and reach the boundary through projection.
+    polynomial levels and reach the boundary through projection. The ball
+    and the ellipsoid project exactly, from inside and outside; the p-ball
+    takes the Newton iteration, which from inside may stop at a stationary
+    point that is not the closest.
     """
 
     dimension: int
@@ -174,7 +177,12 @@ def _sqrt_threshold(r: float) -> float:
 
 
 def ellipsoid(center, semiaxes) -> ImplicitDomain:
-    """Axis-aligned ellipsoid sum((x_i - c_i)^2 / a_i^2) <= 1."""
+    """Axis-aligned ellipsoid sum((x_i - c_i)^2 / a_i^2) <= 1.
+
+    Its projection is exact from inside and outside: one root of the
+    secular equation per row, and the medial axis in closed form. Its exit
+    test compares the level's sum with 1.
+    """
     c = _vector("center", center)
     a = _vector("semiaxes", semiaxes, c.size)
     if np.any(a <= 0.0):
@@ -194,6 +202,42 @@ def ellipsoid(center, semiaxes) -> ImplicitDomain:
     def hess(x):
         return 2.0 * np.diag(inv2)
 
+    def outside(X):
+        # The level's sum without its - 1: fl(q - 1) > 0 exactly when q > 1.
+        return _column_sum(X, c, lambda u, j: u * u * inv2[j]) > 1.0
+
+    # In y = |x - c| the foot is z_i = a_i^2 y_i / (t + a_i^2), where
+    # t >= -a_min^2 is the root of sum (a_i y_i / (t + a_i^2))^2 = 1
+    # (Eberly 2013). The root is found in s = t + a_min^2, so a shortest
+    # axis divides by s itself: no cancellation near the medial axis.
+    b = a * a - a_min * a_min
+    shortest, longer = np.flatnonzero(b == 0.0), np.flatnonzero(b > 0.0)
+    b_max = float(np.max(b))
+    tiny = np.finfo(float).tiny
+
+    def project(X):
+        U = X - c
+        Y = np.abs(U)
+        W = a * Y
+        # On the medial axis (the squares of the shortest coordinates sum
+        # to 0, and G < 1) the foot has s = 0, and its first shortest
+        # coordinate is a_min sqrt(1 - G), taken with a + sign.
+        G = _sum_columns((W[:, longer] / b[longer]) ** 2)
+        medial = (_sum_columns(W[:, shortest] ** 2) == 0.0) & (G < 1.0)
+        # F(s) >= 0 where one axis's term alone reaches 1 (s <= W_i - b_i)
+        # and where |W| <= s + b_max; the floor keeps s off 0 when every
+        # shortest coordinate is 0 but G >= 1.
+        s = np.maximum(np.max(W - b, axis=1, initial=-np.inf), tiny)
+        s = np.maximum(s, np.sqrt(_sum_columns(W * W)) - b_max)
+        s[medial] = 0.0
+        rows = np.flatnonzero(~medial)
+        s[rows] = _secular_root(W[rows], b, s[rows])
+        D = s[:, None] + b
+        Q = np.divide(W, D, out=np.zeros_like(W), where=D > 0.0)
+        Q[medial, shortest[0]] = np.sqrt(1.0 - G[medial])
+        Z = a * Q
+        return c + np.where(U < 0.0, -Z, Z), np.sqrt(_sum_columns((Y - Z) ** 2))
+
     def boundary_points(rng, count):
         # Map sphere directions through the semiaxes; correct to surface-area
         # weighting by rejection. The area element of v -> A v on the unit
@@ -212,7 +256,47 @@ def ellipsoid(center, semiaxes) -> ImplicitDomain:
         inner_radius=a_min,
         ray_crossing=lambda uhat: 1.0 / np.sqrt(np.sum(uhat * uhat / a**2, axis=1)),
         boundary_points=boundary_points,
+        project=project,
+        outside=outside,
     )
+
+
+def _sum_columns(M: np.ndarray) -> np.ndarray:
+    """The sum of the columns of M, left to right, so each row is summed
+    alone and has the bits of that row as a batch of one; 0 for no columns."""
+    total = M[:, 0] if M.shape[1] else np.zeros(M.shape[0])
+    for j in range(1, M.shape[1]):
+        total = total + M[:, j]
+    return total
+
+
+def _secular_root(W: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """For each row, the root s > 0 of F(s) = sum_i (W_i / (s + b_i))^2 - 1,
+    by Newton's iteration from a start with F(s) >= 0.
+
+    F falls and is convex in s > 0, so from the left of the root each step
+    climbs towards it without passing it. A row stops at the first step
+    that does not raise its s and then leaves the working arrays, so its
+    iterates depend on that row alone. Raises NoConvergence when a row is
+    still climbing after PROJECT_MAX_ITER steps.
+    """
+    root = np.empty_like(s)
+    live = np.arange(s.size)
+    for _ in range(PROJECT_MAX_ITER):
+        if not live.size:
+            return root
+        D = s[:, None] + b
+        Q2 = (W / D) ** 2
+        F = _sum_columns(Q2) - 1.0
+        slope = _sum_columns(Q2 / D)  # -F'(s) / 2
+        step = s + F / (slope + slope)
+        done = ~(step > s)
+        if done.any():
+            root[live[done]] = s[done]
+            go = ~done
+            live, W, s, step = live[go], W[go], s[go], step[go]
+        s = step
+    raise NoConvergence(f"ellipsoid projection did not converge in {PROJECT_MAX_ITER} steps")
 
 
 def even_p_norm_ball(center, radius: float, p: int) -> ImplicitDomain:
@@ -239,6 +323,11 @@ def even_p_norm_ball(center, radius: float, p: int) -> ImplicitDomain:
         u = np.asarray(x, dtype=float) - c
         return (p * (p - 1) * u ** (p - 2))[..., :, None] * np.eye(n)
 
+    def outside(X):
+        # The level's sum without its - r^p: fl(q - r^p) > 0 exactly when
+        # q > r^p.
+        return _column_sum(X, c, lambda u, j: u**p) > r**p
+
     def boundary_points(rng, count):
         # Gamma(1/p) components give the cone measure on the unit p-sphere;
         # the surface measure differs by the gradient-norm factor
@@ -260,6 +349,7 @@ def even_p_norm_ball(center, radius: float, p: int) -> ImplicitDomain:
         inner_radius=r,
         ray_crossing=lambda uhat: r / np.sum(uhat**p, axis=1) ** (1.0 / p),
         boundary_points=boundary_points,
+        outside=outside,
     )
 
 
@@ -359,9 +449,10 @@ def distance_lower_bound(domain: ImplicitDomain, X) -> np.ndarray:
 def project_to_boundary_batch(domain: ImplicitDomain, X) -> tuple[np.ndarray, np.ndarray]:
     """Closest boundary points of the rows of X and their Euclidean distances.
 
-    A kind with a closed-form projection uses it. The others solve the
-    first-order conditions z - x + mu grad Q(z) = 0, Q(z) = 0 of
-    min |x - z|^2 subject to Q(z) = 0 for all rows at once: a damped Newton
+    A kind with a closed-form projection uses it: the ball and the
+    ellipsoid. The p-ball solves the first-order conditions
+    z - x + mu grad Q(z) = 0, Q(z) = 0 of min |x - z|^2 subject to
+    Q(z) = 0 for all rows at once: a damped Newton
     iteration started from the crossing of the boundary with the ray from
     the center through x, with a batched solve of the bordered Jacobians and
     a backtracking line search per row. A row leaves the iteration once its
@@ -369,10 +460,10 @@ def project_to_boundary_batch(domain: ImplicitDomain, X) -> tuple[np.ndarray, np
     alone. A row at the center starts from the crossing along the first axis
     (see _ray_crossing).
 
-    From outside the convex built-in kinds the iteration reaches the closest
-    point. Inside, it may stop at a stationary point that is not the closest
-    (on the medial axis, such as the center) or stall near one. Raises
-    NoConvergence when any row fails to converge.
+    From outside the p-ball the iteration reaches the closest point. Inside,
+    it may stop at a stationary point that is not the closest (on the medial
+    axis, such as the center) or stall near one. Raises NoConvergence when
+    any row fails to converge.
     """
     X = np.asarray(X, dtype=float)
     if domain.project is not None:

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import optimize
 
 from viability import geometry
 from viability.errors import DegenerateGradient
@@ -215,12 +218,34 @@ def test_ball_outside_is_exactly_a_positive_level_near_the_sphere(center, radius
     double whose rounded sqrt is at most r, not with r * r: on 50,000 points
     within a few ulps of the sphere it gives every decision of
     signed_level > 0, including sums of squares that r * r would call out."""
-    domain = geometry.ball(center, radius)
+    _assert_outside_is_a_positive_level_near_the_boundary(geometry.ball(center, radius))
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        geometry.ellipsoid([0.0, 0.0], [1.5, 1.0]),
+        geometry.ellipsoid([0.3, -0.2, 0.1], [1.5, 1.0, 1.2]),
+        geometry.even_p_norm_ball([0.0, 0.0], 1.0, 4),
+        geometry.even_p_norm_ball([0.0, 0.2, 0.0], 1.5, 4),
+        geometry.even_p_norm_ball([0.1, -0.3], 0.7, 6),
+    ],
+    ids=["ellipse2d", "ellipsoid3d", "p4_ball2d", "p4_ball3d", "p6_ball2d"],
+)
+def test_outside_is_exactly_a_positive_level_near_the_boundary(domain):
+    """The ellipsoid and the p-ball compare the level's sum with the level's
+    constant: for finite doubles fl(q - k) > 0 exactly when q > k."""
+    _assert_outside_is_a_positive_level_near_the_boundary(domain)
+
+
+def _assert_outside_is_a_positive_level_near_the_boundary(domain):
+    # 50,000 points a few ulps of the crossing distance from the boundary,
+    # along uniform directions from the center
     rng = np.random.default_rng(41)
     u = rng.standard_normal((50_000, domain.dimension))
     u /= np.linalg.norm(u, axis=1)[:, None]
     ulps = rng.integers(-6, 7, size=50_000)[:, None]
-    X = domain.center + u * (radius * (1.0 + ulps * 2.0**-53))
+    X = domain.center + u * (domain.ray_crossing(u)[:, None] * (1.0 + ulps * 2.0**-53))
     by_level = geometry.signed_level(domain, X) > 0.0
     assert 0 < by_level.sum() < len(X)
     np.testing.assert_array_equal(domain.outside(X), by_level)
@@ -242,6 +267,135 @@ def test_project_ellipsoid_against_parameterized_search():
     brute = np.min(np.linalg.norm(pts - x, axis=1))
     assert dist == pytest.approx(brute, abs=1e-6)
     assert abs(d.level_fn(foot)) < 1e-10
+
+
+def _ellipse_search(semiaxes, x):
+    """dist(x, boundary) of an origin-centered ellipse: the 400,001-point
+    theta scan, then a golden-section search around its best theta."""
+    a, b = semiaxes
+    theta = np.linspace(0.0, 2.0 * np.pi, 400001)
+    i = int(np.argmin((a * np.cos(theta) - x[0]) ** 2 + (b * np.sin(theta) - x[1]) ** 2))
+
+    def d2(t):
+        return (a * math.cos(t) - x[0]) ** 2 + (b * math.sin(t) - x[1]) ** 2
+
+    lo, hi = theta[i] - (theta[1] - theta[0]), theta[i] + (theta[1] - theta[0])
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(80):
+        t1, t2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
+        if d2(t1) < d2(t2):
+            hi = t2
+        else:
+            lo = t1
+    return math.sqrt(d2(0.5 * (lo + hi)))
+
+
+def test_project_ellipse_interior_points_near_the_medial_axis():
+    # The closed-form medial axis and the secular-equation solve: every
+    # distance matches the refined boundary search to 1e-12.
+    d = geometry.ellipsoid([0.0, 0.0], [1.5, 1.0])
+    assert geometry.signed_boundary_distance(d, [0.7, 0.0]) == pytest.approx(-0.7797435475847172, abs=1e-15)
+    foot, dist = geometry.project_to_boundary(d, [0.0, 0.0])
+    assert dist == 1.0 and foot.tolist() == [0.0, 1.0]
+    assert geometry.signed_boundary_distance(d, [0.0, 0.0]) == -1.0
+    for x in ([0.7, 0.0], [0.0, 0.0], [0.7, 0.05], [-0.7, -0.05], [0.8, 1e-9], [0.83, 0.0], [1.2, 0.3]):
+        foot, dist = geometry.project_to_boundary(d, x)
+        assert geometry.signed_boundary_distance(d, x) == -dist
+        assert abs(dist - _ellipse_search((1.5, 1.0), x)) < 1e-12
+        assert abs(d.level_fn(foot)) < 1e-14
+        assert np.linalg.norm(np.asarray(x) - foot) == pytest.approx(dist, rel=1e-14)
+
+
+@pytest.mark.parametrize("semiaxes", [(1.5, 1.0), (2.0, 1.0), (1.0, 3.0)])
+def test_project_ellipse_matches_the_refined_search(semiaxes):
+    # Exterior rows, which the pipeline projects, and interior rows, about
+    # a center off the origin.
+    c = np.array([0.4, -0.3])
+    d = geometry.ellipsoid(c, semiaxes)
+    rng = np.random.default_rng(53)
+    X = c + rng.uniform(-1.0, 1.0, size=(24, 2)) * 2.0 * np.array(semiaxes)
+    assert np.any(d.level_fn(X) > 0.0) and np.any(d.level_fn(X) < 0.0)
+    feet, dists = geometry.project_to_boundary_batch(d, X)
+    for x, foot, dist in zip(X, feet, dists):
+        assert abs(dist - _ellipse_search(semiaxes, x - c)) < 1e-12
+        assert abs(d.level_fn(foot)) < 1e-14
+
+
+def test_project_ellipsoid_with_equal_shortest_axes_on_its_medial_axis():
+    # Semiaxes (1.5, 1, 1) turn the 1.5 x 1 ellipse about its long axis, so
+    # on that axis the distance is the ellipse's and the foot is taken on
+    # the first shortest axis, with a + sign.
+    d = geometry.ellipsoid([0.0, 0.0, 0.0], [1.5, 1.0, 1.0])
+    foot, dist = geometry.project_to_boundary(d, [0.0, 0.0, 0.0])
+    assert dist == 1.0 and foot.tolist() == [0.0, 1.0, 0.0]
+    for x0 in (0.0, 0.3, -0.5, 0.8):
+        foot, dist = geometry.project_to_boundary(d, [x0, 0.0, 0.0])
+        assert abs(dist - _ellipse_search((1.5, 1.0), [x0, 0.0])) < 1e-12
+        assert foot[1] > 0.0 and foot[2] == 0.0
+        assert abs(d.level_fn(foot)) < 1e-14
+
+
+def test_project_ellipsoid_on_its_medial_plane():
+    # Distinct semiaxes: the medial set is part of the plane of the two
+    # longer axes, where the feet come in a +- pair across it. The oracle
+    # refines a (phi, theta) scan of the surface by Nelder-Mead.
+    a = np.array([1.5, 1.2, 1.0])
+    d = geometry.ellipsoid([0.0, 0.0, 0.0], a)
+
+    def surface(p):
+        phi, theta = p
+        return a * np.stack(
+            [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)], axis=-1
+        )
+
+    phi, theta = np.meshgrid(np.linspace(0.0, np.pi, 301), np.linspace(0.0, 2.0 * np.pi, 601))
+    grid = surface((phi, theta))
+    for x in ([0.4, 0.2, 0.0], [0.0, 0.0, 0.0], [-0.6, 0.1, 0.0], [0.3, -0.3, 0.0]):
+        x = np.array(x)
+        best = np.unravel_index(np.argmin(np.sum((grid - x) ** 2, axis=-1)), phi.shape)
+        fit = optimize.minimize(
+            lambda p: np.sum((surface(p) - x) ** 2),
+            [phi[best], theta[best]],
+            method="Nelder-Mead",
+            options={"xatol": 1e-10, "fatol": 1e-15},
+        )
+        foot, dist = geometry.project_to_boundary(d, x)
+        assert fit.success and abs(dist - math.sqrt(fit.fun)) < 1e-12
+        assert foot[2] > 0.0
+        assert abs(d.level_fn(foot)) < 1e-14
+
+
+def test_project_ellipsoid_converges_on_hard_rows():
+    # Rows at many scales, each also with its shortest coordinate scaled by
+    # 1e-20 and set to 0, and rows off the medial plane of the (1, 1.01, 3)
+    # ellipsoid whose start lies far below the root: no row raises
+    # NoConvergence, every foot is on the boundary, and each row has the
+    # bits of its batch of one.
+    rng = np.random.default_rng(59)
+    cases = (
+        ([0.0, 0.0], [1.5, 1.0], []),
+        ([0.0, 0.0, 0.0], [1.0, 1.01, 3.0], [[1e-20, 0.015, 2.0], [1e-150, 0.015, 2.0], [0.0, 0.015, 2.0]]),
+        ([0.0] * 4, [1.0, 1.0, 2.0, 2.5], []),
+    )
+    for c, a, extra in cases:
+        d = geometry.ellipsoid(c, a)
+        k = int(np.argmin(a))
+        rows = [np.reshape(extra, (-1, len(c)))]
+        for scale in (1e-12, 1e-3, 0.3, 0.9, 1.0, 1.1, 3.0, 1e6):
+            U = rng.standard_normal((40, len(c))) * scale * np.array(a)
+            V = U.copy()
+            V[:, k] *= 1e-20
+            W = U.copy()
+            W[:, k] = 0.0
+            rows += [U, V, W]
+        X = np.array(c) + np.vstack(rows)
+        feet, dists = geometry.project_to_boundary_batch(d, X)
+        assert np.max(np.abs(d.level_fn(feet))) < 1e-14
+        np.testing.assert_allclose(np.linalg.norm(X - feet, axis=1), dists, rtol=1e-13, atol=1e-15)
+        for i in [*range(len(extra)), *rng.choice(X.shape[0], 60, replace=False)]:
+            one_foot, one_dist = geometry.project_to_boundary_batch(d, X[i : i + 1])
+            assert one_foot[0].tobytes() == feet[i].tobytes()
+            assert one_dist[0].tobytes() == dists[i].tobytes()
 
 
 def test_project_interior_point_general_kind():
@@ -342,7 +496,7 @@ def test_ball_closed_forms_match_generic_tolerance():
 def test_signed_boundary_distance_batch_matches_scalar():
     # Bit for bit: offset_membership uses the scalar form, the lattice the
     # batch form. Interior points other than the center are left out, since
-    # projection from inside may stop at a stationary point.
+    # the p-ball's projection from inside may stop at a stationary point.
     rng = np.random.default_rng(5)
     for d in BUILT_IN_KINDS:
         pts = d.center + rng.uniform(-2.0, 2.0, size=(100, d.dimension))
@@ -376,8 +530,17 @@ def test_project_to_boundary_batch_matches_batch_of_one(domain):
         np.testing.assert_allclose(foot, one_foot, rtol=0.0, atol=1e-12)
         assert abs(dist - one_dist) <= 1e-12
     assert np.max(np.abs(domain.level_fn(feet))) < 1e-10
-    # the center takes the crossing along the first axis
-    np.testing.assert_allclose(feet[-1] - domain.center, dists[-1] * np.eye(n)[0], atol=1e-12)
+    if domain.kind == "ellipsoid":
+        # the center's nearest point lies along the first shortest axis
+        k = int(np.argmin(domain.ray_crossing(np.eye(n))))
+        assert dists[-1] == domain.inner_radius
+        np.testing.assert_allclose(
+            feet[-1] - domain.center, domain.inner_radius * np.eye(n)[k], rtol=0.0, atol=1e-15
+        )
+    else:
+        # the p-ball's Newton iteration starts the center along the first
+        # axis and stays there
+        np.testing.assert_allclose(feet[-1] - domain.center, dists[-1] * np.eye(n)[0], atol=1e-12)
     sd = geometry.signed_boundary_distance_batch(domain, X)
     np.testing.assert_array_equal(np.abs(sd), dists)
     assert np.all(sd[: outside.shape[0]] > 0.0) and np.all(sd[outside.shape[0]:] < 0.0)
@@ -419,8 +582,9 @@ def test_project_to_boundary_batch_rows_are_bit_identical(domain):
 
 
 def test_offset_membership_interior_point_of_implicit_domain():
-    # Inside K the tag needs no projection; at this point near the medial
-    # axis of the ellipse a projection from the radial point stalls.
+    # Inside K the tag needs no projection; this point lies near the medial
+    # axis of the ellipse, where a Newton iteration from the radial point
+    # stalls and only the exact projection finds the nearest point.
     d = geometry.ellipsoid([0.0, 0.0], [1.5, 1.0])
     assert geometry.offset_membership(d, [0.7, 0.05], 0.1) == "inside_K"
     assert geometry.offset_membership(d, [1.55, 0.0], 0.1) == "in_K_eps"
