@@ -4,8 +4,7 @@ One JSON configuration file declares the model, the domain, and the parameter
 groups for the checker, the shell probe, and the simulator. The report echoes
 the fully resolved configuration, so a report alone suffices to reproduce the
 run. The probe and the simulator run on every CPU of the affinity mask (see
-sharding) with the same outputs for any count; `--threads` has no effect and
-is not echoed.
+sharding) with the same outputs for any count.
 
 Each stage (check, probe, simulate) returns its report sections, its decision
 (0 supports invariance, 1 refutes it, 2 inconclusive) and its CSV side files.
@@ -285,17 +284,9 @@ def probe(model, domain, cfg):
         qmc_points=int(cfg["quad"]["qmc_points"]),
     )
     section = {
-        "eps": result.eps,
-        "n_points": int(result.points.shape[0]),
-        "points": result.points.tolist(),
-        "distances": result.distances.tolist(),
-        "region_tags": list(result.region_tags),
-        "values": result.values.tolist(),
-        "min_value": result.min_value,
-        "tolerance_used": result.tolerance_used,
-        "passed": result.passed,
-        "seed": result.seed,
+        k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in asdict(result).items()
     }
+    section["n_points"] = len(result.points)
     rows = [["distance", "generator_value"]] + [
         [repr(float(d)), repr(float(v))] for d, v in zip(result.distances, result.values)
     ]
@@ -431,8 +422,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory (default from config)")
     parser.add_argument("--seed", type=int, default=None, help="override every configured seed")
-    # kept so that scripts passing --threads still run instead of exiting 2
-    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     args = parser.parse_args(argv)
 
     try:

@@ -116,7 +116,7 @@ def shell_sign_check(
     dists = eps * (1.0 + SHELL_EDGE_GUARD + 2.0 * (1.0 - 2.0 * SHELL_EDGE_GUARD) * u)
 
     points = feet + dists[:, None] * normals
-    tags = tuple(geometry.offset_membership(domain, p, eps) for p in points)
+    tags = geometry.offset_membership(domain, points, eps)
     bad = [t for t in tags if t != geometry.REGION_SHELL]
     if bad:
         raise ValueError(f"probe produced off-shell points: {set(bad)}")

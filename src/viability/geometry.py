@@ -44,8 +44,9 @@ class ImplicitDomain:
       levels are homogeneous about the center);
     - boundary_points(rng, count): area-weighted boundary points, drawn from
       rng only;
-    - project: a closed-form projection X -> (feet, distances), or None for
-      the batched Newton iteration of project_to_boundary_batch;
+    - project: X -> (feet, distances), the closest boundary points of the
+      rows of X and their Euclidean distances, each row with the bits of
+      that row alone;
     - signed_distance: a closed-form signed Euclidean distance of rows, or
       None for the distance found by projection;
     - outside: a closed-form test of which rows lie outside K, exactly
@@ -57,8 +58,8 @@ class ImplicitDomain:
     ball is the exact signed Euclidean distance; the other kinds use smooth
     polynomial levels and reach the boundary through projection. The ball
     and the ellipsoid project exactly, from inside and outside; the p-ball
-    takes the Newton iteration, which from inside may stop at a stationary
-    point that is not the closest.
+    projects by a Newton iteration, which from inside may stop at a
+    stationary point that is not the closest.
     """
 
     dimension: int
@@ -71,7 +72,7 @@ class ImplicitDomain:
     inner_radius: float
     ray_crossing: Callable[[np.ndarray], np.ndarray]
     boundary_points: Callable[[np.random.Generator, int], np.ndarray]
-    project: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+    project: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     signed_distance: Callable[[np.ndarray], np.ndarray] | None = None
     outside: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -304,6 +305,18 @@ def even_p_norm_ball(center, radius: float, p: int) -> ImplicitDomain:
 
     Even powers keep the level polynomial and smooth; odd or fractional p is
     rejected.
+
+    Its projection solves the first-order conditions z - x + mu grad Q(z)
+    = 0, Q(z) = 0 of min |x - z|^2 subject to Q(z) = 0 for all rows at once:
+    a damped Newton iteration started from the crossing of the boundary with
+    the ray from the center through x, with a batched solve of the bordered
+    Jacobians and a backtracking line search per row. A row leaves the
+    iteration once its residual is below tolerance, so each row's result
+    depends on that row alone. A row at the center starts from the crossing
+    along the first axis (see _unit_rows). From outside the iteration
+    reaches the closest point. Inside, it may stop at a stationary point
+    that is not the closest (on the medial axis, such as the center) or
+    stall near one. Raises NoConvergence when any row fails to converge.
     """
     if p < 2 or p % 2 != 0:
         raise ValueError("p must be an even integer >= 2")
@@ -343,12 +356,81 @@ def even_p_norm_ball(center, radius: float, p: int) -> ImplicitDomain:
 
         return c[None, :] + r * rejection_fill(count, n, draw)
 
+    def ray_crossing(uhat):
+        return r / np.sum(uhat**p, axis=1) ** (1.0 / p)
+
+    def project(X):
+        m = X.shape[0]
+        U = X - c
+        length = np.linalg.norm(U, axis=1)
+        uhat = _unit_rows(U, length)
+        z = c + ray_crossing(uhat)[:, None] * uhat
+        g = grad(z)
+        g2 = np.sum(g * g, axis=1)
+        mu = np.divide(np.sum((X - z) * g, axis=1), g2, out=np.zeros(m), where=g2 > 0)
+        tol = PROJECT_TOL * (1.0 + length)
+        eye = np.eye(n)
+
+        def residual(x, z, mu):
+            """Residual rows and the gradients they used."""
+            g = grad(z)
+            F = np.concatenate([z - x + mu[:, None] * g, level(z)[:, None]], axis=1)
+            return F, g
+
+        # The working arrays hold the live rows only; live maps them to rows of X.
+        feet = np.empty_like(X)
+        live, x = np.arange(m), X
+        F, g = residual(x, z, mu)
+        norm = np.linalg.norm(F, axis=1)
+        for _ in range(PROJECT_MAX_ITER):
+            done = norm <= tol
+            if done.any():
+                feet[live[done]] = z[done]
+                go = ~done
+                live, x, z, mu, F, g, norm, tol = (
+                    a[go] for a in (live, x, z, mu, F, g, norm, tol)
+                )
+            if live.size == 0:
+                break
+            J = np.zeros((live.size, n + 1, n + 1))
+            J[:, :n, :n] = eye + mu[:, None, None] * hess(z)
+            J[:, :n, n] = g
+            J[:, n, :n] = g
+            try:
+                step = np.linalg.solve(J, -F[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError as exc:
+                raise NoConvergence("singular projection system") from exc
+            # Backtracking: a row takes the first of t = 1, 1/2, 1/4, ... that
+            # lowers its residual norm, so the rows still trying share one t.
+            trial = np.arange(live.size)
+            t = 1.0
+            for _ in range(30):
+                zt = z[trial] + t * step[trial, :n]
+                mut = mu[trial] + t * step[trial, n]
+                Ft, gt = residual(x[trial], zt, mut)
+                nt = np.linalg.norm(Ft, axis=1)
+                ok = nt < norm[trial]
+                acc = trial[ok]
+                z[acc], mu[acc], F[acc], g[acc], norm[acc] = zt[ok], mut[ok], Ft[ok], gt[ok], nt[ok]
+                trial = trial[~ok]
+                if trial.size == 0:
+                    break
+                t *= 0.5
+            else:
+                raise NoConvergence(f"projection line search stalled at {z[trial[0]]!r}")
+        else:
+            raise NoConvergence(
+                f"projection did not converge in {PROJECT_MAX_ITER} iterations"
+            )
+        return feet, np.linalg.norm(X - feet, axis=1)
+
     return ImplicitDomain(
         n, "even_p_norm_ball", c, level, grad, hess,
         bounding_radius=r * n ** (0.5 - 1.0 / p),
         inner_radius=r,
-        ray_crossing=lambda uhat: r / np.sum(uhat**p, axis=1) ** (1.0 / p),
+        ray_crossing=ray_crossing,
         boundary_points=boundary_points,
+        project=project,
         outside=outside,
     )
 
@@ -403,8 +485,8 @@ def outward_normal_batch(domain: ImplicitDomain, Z) -> np.ndarray:
 def project_to_boundary(domain: ImplicitDomain, x) -> tuple[np.ndarray, float]:
     """Closest boundary point and its Euclidean distance.
 
-    project_to_boundary_batch applied to a batch of one, for every kind; a
-    closed-form projection gives each row the bits of that point alone.
+    project_to_boundary_batch applied to a batch of one; every kind's
+    projection gives each row the bits of that point alone.
     """
     x = np.asarray(x, dtype=float)
     feet, dists = project_to_boundary_batch(domain, x[None, :])
@@ -421,18 +503,6 @@ def _unit_rows(U: np.ndarray, length: np.ndarray) -> np.ndarray:
     return uhat
 
 
-def _ray_crossing(domain: ImplicitDomain, X: np.ndarray):
-    """Unit directions from the center to the rows of X, the rows' distances
-    from the center, and the distances s from the center to the boundary
-    along the directions. A row at the center takes the first axis as its
-    direction (see _unit_rows).
-    """
-    U = X - domain.center
-    length = np.linalg.norm(U, axis=1)
-    uhat = _unit_rows(U, length)
-    return uhat, length, domain.ray_crossing(uhat)
-
-
 def distance_lower_bound(domain: ImplicitDomain, X) -> np.ndarray:
     """Lower bound on dist(x, K) for the rows x of X; not positive inside K.
 
@@ -441,94 +511,17 @@ def distance_lower_bound(domain: ImplicitDomain, X) -> np.ndarray:
     c, so its gauge is Lipschitz with constant 1 / inner_radius, and
     dist(x, K) >= (lambda - 1) * inner_radius.
     """
-    X = np.asarray(X, dtype=float)
-    _, length, s = _ray_crossing(domain, X)
-    return (length / s - 1.0) * domain.inner_radius
+    U = np.asarray(X, dtype=float) - domain.center
+    length = np.linalg.norm(U, axis=1)
+    return (length / domain.ray_crossing(_unit_rows(U, length)) - 1.0) * domain.inner_radius
 
 
 def project_to_boundary_batch(domain: ImplicitDomain, X) -> tuple[np.ndarray, np.ndarray]:
-    """Closest boundary points of the rows of X and their Euclidean distances.
-
-    A kind with a closed-form projection uses it: the ball and the
-    ellipsoid. The p-ball solves the first-order conditions
-    z - x + mu grad Q(z) = 0, Q(z) = 0 of min |x - z|^2 subject to
-    Q(z) = 0 for all rows at once: a damped Newton
-    iteration started from the crossing of the boundary with the ray from
-    the center through x, with a batched solve of the bordered Jacobians and
-    a backtracking line search per row. A row leaves the iteration once its
-    residual is below tolerance, so each row's result depends on that row
-    alone. A row at the center starts from the crossing along the first axis
-    (see _ray_crossing).
-
-    From outside the p-ball the iteration reaches the closest point. Inside,
-    it may stop at a stationary point that is not the closest (on the medial
-    axis, such as the center) or stall near one. Raises NoConvergence when
-    any row fails to converge.
-    """
-    X = np.asarray(X, dtype=float)
-    if domain.project is not None:
-        return domain.project(X)
-    m, n = X.shape
-    uhat, length, s = _ray_crossing(domain, X)
-    z = domain.center + s[:, None] * uhat
-    g = domain.gradient_fn(z)
-    g2 = np.sum(g * g, axis=1)
-    mu = np.divide(np.sum((X - z) * g, axis=1), g2, out=np.zeros(m), where=g2 > 0)
-    tol = PROJECT_TOL * (1.0 + length)
-    eye = np.eye(n)
-
-    def residual(x, z, mu):
-        """Residual rows and the gradients they used."""
-        g = domain.gradient_fn(z)
-        F = np.concatenate([z - x + mu[:, None] * g, domain.level_fn(z)[:, None]], axis=1)
-        return F, g
-
-    # The working arrays hold the live rows only; live maps them to rows of X.
-    feet = np.empty_like(X)
-    live, x = np.arange(m), X
-    F, g = residual(x, z, mu)
-    norm = np.linalg.norm(F, axis=1)
-    for _ in range(PROJECT_MAX_ITER):
-        done = norm <= tol
-        if done.any():
-            feet[live[done]] = z[done]
-            go = ~done
-            live, x, z, mu, F, g, norm, tol = (
-                a[go] for a in (live, x, z, mu, F, g, norm, tol)
-            )
-        if live.size == 0:
-            break
-        J = np.zeros((live.size, n + 1, n + 1))
-        J[:, :n, :n] = eye + mu[:, None, None] * domain.hessian_fn(z)
-        J[:, :n, n] = g
-        J[:, n, :n] = g
-        try:
-            step = np.linalg.solve(J, -F[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence("singular projection system") from exc
-        # Backtracking: a row takes the first of t = 1, 1/2, 1/4, ... that
-        # lowers its residual norm, so the rows still trying share one t.
-        trial = np.arange(live.size)
-        t = 1.0
-        for _ in range(30):
-            zt = z[trial] + t * step[trial, :n]
-            mut = mu[trial] + t * step[trial, n]
-            Ft, gt = residual(x[trial], zt, mut)
-            nt = np.linalg.norm(Ft, axis=1)
-            ok = nt < norm[trial]
-            acc = trial[ok]
-            z[acc], mu[acc], F[acc], g[acc], norm[acc] = zt[ok], mut[ok], Ft[ok], gt[ok], nt[ok]
-            trial = trial[~ok]
-            if trial.size == 0:
-                break
-            t *= 0.5
-        else:
-            raise NoConvergence(f"projection line search stalled at {z[trial[0]]!r}")
-    else:
-        raise NoConvergence(
-            f"projection did not converge in {PROJECT_MAX_ITER} iterations"
-        )
-    return feet, np.linalg.norm(X - feet, axis=1)
+    """Closest boundary points of the rows of X and their Euclidean
+    distances, by the kind's own projection (ImplicitDomain.project): exact
+    for the ball and the ellipsoid, a Newton iteration for the p-ball (see
+    even_p_norm_ball)."""
+    return domain.project(np.asarray(X, dtype=float))
 
 
 def signed_boundary_distance(domain: ImplicitDomain, x) -> float:
@@ -547,25 +540,30 @@ def signed_boundary_distance_batch(domain: ImplicitDomain, X: np.ndarray) -> np.
     return np.where(domain.level_fn(X) <= 0.0, -d, d)
 
 
-def offset_membership(domain: ImplicitDomain, x, eps: float) -> str:
-    """Classify x against the nested offsets K, K_eps, K_3eps.
+def offset_membership(domain: ImplicitDomain, x, eps: float):
+    """Classify x, or each row of an (m, n) batch x, against the nested
+    offsets K, K_eps, K_3eps.
 
-    Returns one of inside_K, in_K_eps, in_shell_K3eps, outside, keyed on
-    d = dist(x, K). Points of K itself get the inside_K tag (they belong to
-    every offset; the tag refines membership).
+    Returns one of inside_K, in_K_eps, in_shell_K3eps, outside for a point,
+    and a tuple of them for a batch, keyed on d = dist(x, K). Points of K
+    itself get the inside_K tag (they belong to every offset; the tag
+    refines membership): a row with level <= 0 is tagged without being
+    projected, and the other rows take one signed_boundary_distance_batch
+    call, so a row gets the tag of that point alone.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    if domain.level_fn(x) <= 0.0:
-        return REGION_INSIDE
-    d = signed_boundary_distance(domain, x)
-    if d <= 0.0:
-        return REGION_INSIDE
-    if d <= eps:
-        return REGION_K_EPS
-    if d <= 3.0 * eps:
-        return REGION_SHELL
-    return REGION_OUTSIDE
+    x = np.asarray(x, dtype=float)
+    X = x.reshape(-1, x.shape[-1])
+    d = np.full(X.shape[0], -np.inf)
+    rows = np.flatnonzero(~(domain.level_fn(X) <= 0.0))
+    d[rows] = signed_boundary_distance_batch(domain, X[rows])
+    tags = np.select(
+        [d <= 0.0, d <= eps, d <= 3.0 * eps],
+        [REGION_INSIDE, REGION_K_EPS, REGION_SHELL],
+        REGION_OUTSIDE,
+    )
+    return tuple(tags.tolist()) if x.ndim == 2 else tags[0].item()
 
 
 def rejection_fill(count: int, n: int, draw: Callable[[], np.ndarray]) -> np.ndarray:

@@ -83,15 +83,17 @@ class ConditionReport:
     errors: list = field(default_factory=list)
 
 
-def _tangent_bases(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal tangent bases at the unit normals N, one per row.
+def _tangent_bases(N: np.ndarray) -> np.ndarray:
+    """Orthonormal tangent bases at the unit normals N, one per row: the
+    (m, n - 1, n) bases.
 
     Gram-Schmidt on the coordinate axes e_0, e_1, ... projected off the
     normal; an axis whose remainder is not longer than 1e-8 is skipped, and
-    a row stops at n - 1 vectors. Returns the (m, n - 1, n) bases and the
-    number of vectors of each row (n - 1 for every unit normal). Each row
-    takes the operations, in the order, of Gram-Schmidt on its normal alone,
-    and every dot product is a row dot, so a basis has the bits of that
+    a row stops at n - 1 vectors. A unit normal always gets n - 1: were two
+    axes skipped, all n axes would lie within 1e-8 of one hyperplane, but
+    their squared distances to any hyperplane sum to 1. Each row takes the
+    operations, in the order, of Gram-Schmidt on its normal alone, and
+    every dot product is a row dot, so a basis has the bits of that
     normal's basis.
     """
     m, n = N.shape
@@ -114,7 +116,7 @@ def _tangent_bases(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         found = rows[keep]
         basis[found, count[found]] = t[keep] / norm[keep, None]
         count[found] += 1
-    return basis, count
+    return basis
 
 
 def _offset_samples(
@@ -154,10 +156,10 @@ def _ascend(
     (1-D) makes no moves. Returns each walk's best value.
 
     Each move is one project_to_boundary_batch call, one batch of normals
-    and one objective call over the live walks that have its basis vector,
-    in walk order. A row of each depends on that row alone, so every walk
-    takes the moves, and reaches the bits, of the same walk run on its own;
-    an error names the first offending row in walk order.
+    and one objective call over the live walks, in walk order. A row of
+    each depends on that row alone, so every walk takes the moves, and
+    reaches the bits, of the same walk run on its own; an error names the
+    first offending row in walk order.
     """
     points, normals, values = points.copy(), normals.copy(), values.copy()
     step = 0.5 * scale
@@ -165,20 +167,18 @@ def _ascend(
     for _ in range(REFINE_STEPS):
         if not live.size:
             break
-        basis, count = _tangent_bases(normals[live])
+        basis = _tangent_bases(normals[live])
         improved = np.zeros(len(values), dtype=bool)
         for move in range(2 * basis.shape[1]):
-            has = count > move // 2
-            rows = live[has]
             sgn = -1.0 if move % 2 else 1.0
             feet, _ = geometry.project_to_boundary_batch(
-                domain, points[rows] + (sgn * step[rows])[:, None] * basis[has, move // 2]
+                domain, points[live] + (sgn * step[live])[:, None] * basis[:, move // 2]
             )
             nu = geometry.outward_normal_batch(domain, feet)
-            cand = feet + eps[rows, None] * nu
+            cand = feet + eps[live, None] * nu
             val = objective(cand, nu)
-            up = val > values[rows]
-            gain = rows[up]
+            up = val > values[live]
+            gain = live[up]
             points[gain], normals[gain], values[gain] = cand[up], nu[up], val[up]
             improved[gain] = True
         flat = live[~improved[live]]

@@ -226,6 +226,15 @@ def test_cond_profile_rows_match_eps_grid(tmp_path):
     assert [float(r[0]) for r in rows[1:]] == [float(e) for e in grid]
 
 
+def test_main_refuses_threads(tmp_path):
+    # run() keeps threads for the benchmark worker; the command line has no
+    # such option, so argparse exits 2
+    config = write_config(tmp_path, rotational_config())
+    with pytest.raises(SystemExit) as exc:
+        cli_runner.main(["check", "--config", config, "--threads", "2"])
+    assert exc.value.code == 2
+
+
 def test_main_exit_codes_for_bad_configs(tmp_path):
     # zero dt
     bad_dt = write_config(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
 from viability import geometry
-from viability.errors import DegenerateGradient
+from viability.errors import DegenerateGradient, NoConvergence
 
 
 def unit_ball():
@@ -588,6 +589,152 @@ def test_offset_membership_interior_point_of_implicit_domain():
     d = geometry.ellipsoid([0.0, 0.0], [1.5, 1.0])
     assert geometry.offset_membership(d, [0.7, 0.05], 0.1) == "inside_K"
     assert geometry.offset_membership(d, [1.55, 0.0], 0.1) == "in_K_eps"
+
+
+MEMBERSHIP_DOMAINS = [
+    unit_ball(),
+    geometry.ellipsoid([0.0, 0.0], [1.5, 1.0]),
+    geometry.even_p_norm_ball([0.0, 0.1], 1.0, 4),
+]
+
+
+@pytest.mark.parametrize("domain", MEMBERSHIP_DOMAINS, ids=["ball", "ellipse", "pball"])
+def test_offset_membership_of_a_batch_matches_its_points(domain, monkeypatch):
+    rng = np.random.default_rng(19)
+    eps = 0.1
+    box = domain.center + rng.uniform(-1.9, 1.9, size=(200, 2))
+    # a point of each K where the p-ball's Newton iteration stalls
+    stalls = domain.center + [0.57, -0.52]
+    boundary = geometry.sample_offset_boundary(domain, 0.0, 5, 1)[0]
+    X = np.vstack([box, domain.center, stalls, boundary])
+    inside = domain.level_fn(X) <= 0.0
+    assert inside.any() and not inside.all()
+    one = tuple(geometry.offset_membership(domain, x, eps) for x in X)
+    assert set(one) == {"inside_K", "in_K_eps", "in_shell_K3eps", "outside"}
+    # one distance call, over the rows outside K only
+    seen = []
+    batch_distance = geometry.signed_boundary_distance_batch
+
+    def counted(domain, rows):
+        seen.append(rows)
+        return batch_distance(domain, rows)
+
+    monkeypatch.setattr(geometry, "signed_boundary_distance_batch", counted)
+    assert geometry.offset_membership(domain, X, eps) == one
+    assert len(seen) == 1 and seen[0].tobytes() == X[~inside].tobytes()
+    assert geometry.offset_membership(domain, X[inside], eps) == ("inside_K",) * inside.sum()
+    assert len(seen) == 2 and seen[1].shape == (0, 2)
+    if domain.kind == "even_p_norm_ball":
+        with pytest.raises(NoConvergence):
+            domain.project(stalls[None])
+
+
+def test_an_implicit_domain_needs_a_projection():
+    d = unit_ball()
+    fields = {f.name: getattr(d, f.name) for f in dataclasses.fields(d) if f.name != "project"}
+    with pytest.raises(TypeError, match="project"):
+        geometry.ImplicitDomain(**fields)
+
+
+def _bordered_newton(domain, X):
+    """The generic projection that project_to_boundary_batch ran for kinds
+    without a projection of their own, verbatim apart from the ray crossing
+    written out and the module's names qualified."""
+    X = np.asarray(X, dtype=float)
+    m, n = X.shape
+    U = X - domain.center
+    length = np.linalg.norm(U, axis=1)
+    uhat = geometry._unit_rows(U, length)
+    s = domain.ray_crossing(uhat)
+    z = domain.center + s[:, None] * uhat
+    g = domain.gradient_fn(z)
+    g2 = np.sum(g * g, axis=1)
+    mu = np.divide(np.sum((X - z) * g, axis=1), g2, out=np.zeros(m), where=g2 > 0)
+    tol = geometry.PROJECT_TOL * (1.0 + length)
+    eye = np.eye(n)
+
+    def residual(x, z, mu):
+        g = domain.gradient_fn(z)
+        F = np.concatenate([z - x + mu[:, None] * g, domain.level_fn(z)[:, None]], axis=1)
+        return F, g
+
+    feet = np.empty_like(X)
+    live, x = np.arange(m), X
+    F, g = residual(x, z, mu)
+    norm = np.linalg.norm(F, axis=1)
+    for _ in range(geometry.PROJECT_MAX_ITER):
+        done = norm <= tol
+        if done.any():
+            feet[live[done]] = z[done]
+            go = ~done
+            live, x, z, mu, F, g, norm, tol = (
+                a[go] for a in (live, x, z, mu, F, g, norm, tol)
+            )
+        if live.size == 0:
+            break
+        J = np.zeros((live.size, n + 1, n + 1))
+        J[:, :n, :n] = eye + mu[:, None, None] * domain.hessian_fn(z)
+        J[:, :n, n] = g
+        J[:, n, :n] = g
+        try:
+            step = np.linalg.solve(J, -F[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence("singular projection system") from exc
+        trial = np.arange(live.size)
+        t = 1.0
+        for _ in range(30):
+            zt = z[trial] + t * step[trial, :n]
+            mut = mu[trial] + t * step[trial, n]
+            Ft, gt = residual(x[trial], zt, mut)
+            nt = np.linalg.norm(Ft, axis=1)
+            ok = nt < norm[trial]
+            acc = trial[ok]
+            z[acc], mu[acc], F[acc], g[acc], norm[acc] = zt[ok], mut[ok], Ft[ok], gt[ok], nt[ok]
+            trial = trial[~ok]
+            if trial.size == 0:
+                break
+            t *= 0.5
+        else:
+            raise NoConvergence(f"projection line search stalled at {z[trial[0]]!r}")
+    else:
+        raise NoConvergence(
+            f"projection did not converge in {geometry.PROJECT_MAX_ITER} iterations"
+        )
+    return feet, np.linalg.norm(X - feet, axis=1)
+
+
+def _outcome(project, X):
+    try:
+        feet, dists = project(X)
+    except NoConvergence as exc:
+        return str(exc)
+    return feet.tobytes(), dists.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [4, 6])
+def test_pball_projection_is_the_generic_newton_iteration_bit_for_bit(n, p):
+    rng = np.random.default_rng(10 * n + p)
+    c = rng.uniform(-0.3, 0.3, n)
+    d = geometry.even_p_norm_ball(c, 1.3, p)
+    box = c + rng.uniform(-2.5, 2.5, size=(200, n))
+    e0 = np.eye(n)[0]
+    axis = c + np.outer([1e-14, 3e-13, 0.5, 2.0, -1.7], e0)
+    near_axis = c + np.array([0.5 * e0 + 1e-9, 2.0 * e0 - 1e-12, np.full(n, 1e-14)])
+    exterior = box[d.level_fn(box) > 0.0]
+    interior = box[d.level_fn(box) <= 0.0]
+    # every row, alone, has the old outcome: the same bits or the same error
+    for x in np.vstack([exterior, interior, c, axis, near_axis]):
+        assert _outcome(d.project, x[None]) == _outcome(
+            lambda X: _bordered_newton(d, X), x[None]
+        )
+    # and so does a batch of every row the iteration converges on
+    converges = [x for x in interior if not isinstance(_outcome(d.project, x[None]), str)]
+    X = np.vstack([exterior, converges, c, axis, near_axis])
+    got = _outcome(d.project, X)
+    assert not isinstance(got, str)
+    assert got == _outcome(lambda X: _bordered_newton(d, X), X)
+    assert geometry.project_to_boundary_batch(d, X)[0].tobytes() == got[0]
 
 
 OFF_ORIGIN_ELLIPSOID_3D = geometry.ellipsoid([0.3, -0.2, 0.1], [1.5, 1.0, 1.2])

@@ -679,7 +679,11 @@ def test_ball_exit_test_stops_every_path_where_the_level_does():
 # The simulator reads a domain's level only, so a domain built for it alone
 # leaves the boundary operations as placeholders.
 SIMULATOR_ONLY = dict(
-    bounding_radius=np.inf, inner_radius=np.inf, ray_crossing=None, boundary_points=None
+    bounding_radius=np.inf,
+    inner_radius=np.inf,
+    ray_crossing=None,
+    boundary_points=None,
+    project=None,
 )
 
 
