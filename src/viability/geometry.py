@@ -20,7 +20,6 @@ from .rows import row_norm
 from .seeds import generator
 
 GRAD_TOLERANCE = 1e-12
-LEVEL_TOLERANCE = 1e-10
 PROJECT_MAX_ITER = 100
 PROJECT_TOL = 1e-12
 
@@ -47,10 +46,10 @@ class ImplicitDomain:
     - project: X -> (feet, distances), the closest boundary points of the
       rows of X and their Euclidean distances, each row with the bits of
       that row alone;
+    - outside: X -> which rows of X lie outside K, a closed form that makes
+      the decisions of level > 0 row for row; the simulator's exit test;
     - signed_distance: a closed-form signed Euclidean distance of rows, or
-      None for the distance found by projection;
-    - outside: a closed-form test of which rows lie outside K, exactly
-      level > 0 row for row, or None for that comparison itself.
+      None for the distance found by projection.
     A new kind is therefore one builder plus one KINDS entry; kind is its
     name only.
 
@@ -73,8 +72,8 @@ class ImplicitDomain:
     ray_crossing: Callable[[np.ndarray], np.ndarray]
     boundary_points: Callable[[np.random.Generator, int], np.ndarray]
     project: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    outside: Callable[[np.ndarray], np.ndarray]
     signed_distance: Callable[[np.ndarray], np.ndarray] | None = None
-    outside: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def _column_sum(x, c: np.ndarray, term: Callable[[np.ndarray, int], np.ndarray]):

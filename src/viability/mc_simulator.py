@@ -98,14 +98,6 @@ def _check_dt_list(T: float, dt_list: Sequence[float]) -> np.ndarray:
     return arr
 
 
-def _exit_test(domain):
-    """X -> which rows of X lie outside the domain: the kind's closed form
-    domain.outside, else a positive signed_level."""
-    if domain.outside is not None:
-        return domain.outside
-    return lambda X: np.asarray(signed_level(domain, X)) > 0.0
-
-
 def _simulate_block(model, domain, starts, T, dt, seed, first_index):
     """The Euler-Maruyama time loop for a block of paths.
 
@@ -123,9 +115,8 @@ def _simulate_block(model, domain, starts, T, dt, seed, first_index):
     array. The live states are a Fortran-ordered (live, n) array and step j
     adds the columns of dW[j].T; stopped rows are compressed out column by
     column. With k = 0 the block derives no keys and draws nothing. A path
-    stops after the first step that overflows or leaves the domain (never
-    when domain is None): domain.outside, when the kind has one, else a
-    positive signed_level.
+    stops after the first step that overflows or leaves the domain by
+    domain.outside (never when domain is None).
     Returns per-path arrays (states, steps, exited, nonfinite), states
     C-ordered: the state and step count at the stop or the horizon, and
     which of the two stops ended the path.
@@ -133,7 +124,6 @@ def _simulate_block(model, domain, starts, T, dt, seed, first_index):
     n_steps = _n_steps(T, dt)
     B = len(starts)
     k = model.diffusion(0.0, starts[:1]).shape[-1]  # noise channels
-    outside = None if domain is None else _exit_test(domain)
     gen = path_generator(seed, first_index)
     fresh = gen.bit_generator.state  # counter 0; its key is swapped per path
     keys = path_keys(seed, np.arange(first_index, first_index + B)) if k else None
@@ -180,8 +170,8 @@ def _simulate_block(model, domain, starts, T, dt, seed, first_index):
             x = _em_update(model, s * dt, x, dt, inc)
             if not np.isfinite(x).all():
                 stop(~np.isfinite(x).all(axis=1), nonfinite, s + 1)
-            if outside is not None:
-                out = outside(x)
+            if domain is not None:
+                out = domain.outside(x)
                 if out.any():
                     stop(out, exited, s + 1)
             if not live.size:

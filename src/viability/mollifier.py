@@ -1,12 +1,12 @@
 """Bump function omega_eps, its derivatives, and the smoothed indicator eta_eps.
 
 omega_eps(x) = c_eps * exp(-eps^2 / (eps^2 - |x|^2)) inside the ball |x| < eps
-and 0 outside; c_eps normalizes the integral to one, by frozen values of
-adaptive radial quadrature up to 3 dimensions and a scrambled Sobol estimate
-above (the only use of scipy.stats, imported there). The smoothed indicator is
-the convolution of the indicator of the Euclidean offset K_2eps with omega_eps.
-It equals 1 on K_eps, vanishes outside K_3eps, and interpolates smoothly across
-the shell in between.
+and 0 outside; c_eps normalizes the integral to one, by adaptive radial
+quadrature in every dimension (frozen up to 3 dimensions, which therefore
+import no scipy.integrate). The smoothed indicator is the convolution of the
+indicator of the Euclidean offset K_2eps with omega_eps. It equals 1 on K_eps,
+vanishes outside K_3eps, and interpolates smoothly across the shell in
+between.
 
 Quadrature layout. The convolution integral is evaluated on a uniform midpoint
 lattice anchored at the origin (spacing 2 eps / nodes_per_axis), windowed to
@@ -43,6 +43,7 @@ the skipped nodes as zeros.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
@@ -66,49 +67,44 @@ class MollifierSpec:
     c_eps: float
 
 
-# I_n = integral of exp(-1/(1-|u|^2)) over the unit ball for n <= 3: frozen values
-# of adaptive radial quadrature, surf(S^{n-1}) * int_0^1 r^{n-1} exp(-1/(1-r^2)) dr.
+# I_n = integral of exp(-1/(1-|u|^2)) over the unit ball, as _unit_bump_integral(n)
+# returns it, frozen for n <= 3 so that those dimensions import no scipy.integrate.
 UNIT_BUMP_INTEGRAL = {1: 0.4439938161680794, 2: 0.46651239317833, 3: 0.44108888727660434}
 
 
-def _unit_bump_integral_qmc(n: int) -> float:
-    """Quasi-random estimate of I_n over [-1,1]^n with ball masking, from
-    DEFAULT_QMC_POINTS points; refused when the estimate from the first half
-    of them differs by more than 1e-3 relative."""
-    from scipy.stats import qmc
+def _unit_bump_integral(n: int) -> float:
+    """I_n by adaptive radial quadrature,
+    surf(S^{n-1}) * int_0^1 r^{n-1} exp(-1/(1-r^2)) dr; refused when the
+    quadrature's error estimate exceeds 1e-10 relative."""
+    from scipy import integrate
 
-    m = max(8, int(np.ceil(np.log2(DEFAULT_QMC_POINTS))))
-    sob = qmc.Sobol(d=n, scramble=True, seed=7)
-    u = 2.0 * sob.random(2**m) - 1.0
-    r2 = np.sum(u * u, axis=1)
-    vals = np.zeros(u.shape[0])
-    mask = r2 < 1.0
-    vals[mask] = np.exp(np.maximum(-1.0 / (1.0 - r2[mask]), EXP_CLAMP))
-    full = vals.mean() * 2.0**n
-    half = vals[: 2 ** (m - 1)].mean() * 2.0**n
-    if abs(full - half) > 1e-3 * max(full, 1e-300):
+    val, err = integrate.quad(
+        lambda r: r ** (n - 1) * np.exp(-1.0 / (1.0 - r * r)),
+        0.0,
+        1.0,
+        epsabs=1e-14,
+        epsrel=1e-13,
+    )
+    if not err <= 1e-10 * val:
         raise ToleranceNotMet(
-            f"qmc estimate for n={n} moved by {abs(full - half):.2e} "
-            f"between {2**(m-1)} and {2**m} points"
+            f"radial quadrature for n={n} reached {err:.2e}, not 1e-10 relative"
         )
-    return full
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0) * val
 
 
 def normalization_constant(n: int, eps: float) -> float:
     """Constant c_eps with c_eps * eps^n * I_n = 1.
 
-    Dimensions up to 3 use frozen values of adaptive radial quadrature
-    (UNIT_BUMP_INTEGRAL); higher dimensions use a quasi-random volume estimate
-    (_unit_bump_integral_qmc). The scaling c_eps = c_1 * eps^-n holds
-    exactly by construction.
+    I_n is the radial quadrature _unit_bump_integral(n), frozen in
+    UNIT_BUMP_INTEGRAL for dimensions up to 3. The scaling c_eps = c_1 *
+    eps^-n holds exactly by construction.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    if n <= 3:
-        return 1.0 / (UNIT_BUMP_INTEGRAL[n] * eps**n)
-    return 1.0 / (_unit_bump_integral_qmc(n) * eps**n)
+    integral = UNIT_BUMP_INTEGRAL[n] if n <= 3 else _unit_bump_integral(n)
+    return 1.0 / (integral * eps**n)
 
 
 def make_spec(n: int, eps: float) -> MollifierSpec:
@@ -342,7 +338,8 @@ def _membership_fractions(ind: SmoothedIndicator, Z: np.ndarray):
 @lru_cache(maxsize=8)
 def _unit_qmc_offsets(n: int, log2_points: int) -> np.ndarray:
     """Scrambled Sobol points (seed 11) mapped to [-1, 1]^n; read-only,
-    because every call with the same arguments shares the array."""
+    because every call with the same arguments shares the array. The only
+    use of scipy.stats, imported here."""
     from scipy.stats import qmc
 
     sob = qmc.Sobol(d=n, scramble=True, seed=11)

@@ -629,10 +629,11 @@ def test_offset_membership_of_a_batch_matches_its_points(domain, monkeypatch):
             domain.project(stalls[None])
 
 
-def test_an_implicit_domain_needs_a_projection():
+@pytest.mark.parametrize("missing", ["project", "outside"])
+def test_an_implicit_domain_needs_a_projection(missing):
     d = unit_ball()
-    fields = {f.name: getattr(d, f.name) for f in dataclasses.fields(d) if f.name != "project"}
-    with pytest.raises(TypeError, match="project"):
+    fields = {f.name: getattr(d, f.name) for f in dataclasses.fields(d) if f.name != missing}
+    with pytest.raises(TypeError, match=missing):
         geometry.ImplicitDomain(**fields)
 
 

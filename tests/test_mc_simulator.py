@@ -473,13 +473,17 @@ def test_kernel_runs_any_model_whatever_layout_it_returns(monkeypatch):
     monkeypatch.setattr(mc_simulator, "CHUNK", 5)
     model = _cubic_model()
     # the level x_1 - 0.5: paths leave across the line x_1 = 0.5
+    def level(x):
+        return np.asarray(x, dtype=float)[..., 0] - 0.5
+
     domain = geometry.ImplicitDomain(
         dimension=2,
         kind="custom",
         center=np.zeros(2),
-        level_fn=lambda x: np.asarray(x, dtype=float)[..., 0] - 0.5,
+        level_fn=level,
         gradient_fn=lambda x: np.array([1.0, 0.0]),
         hessian_fn=lambda x: np.zeros((2, 2)),
+        outside=lambda X: level(X) > 0.0,
         **SIMULATOR_ONLY,
     )
     starts = np.zeros((12, 2))
@@ -662,9 +666,10 @@ def test_ball_exit_test_stops_every_path_where_the_level_does():
     model, domain = sde_model.brownian(2), geometry.ball([0.1, -0.2], 0.9)
     starts = np.tile([0.4, -0.1], (40, 1))
     T, dt = 0.4, 2.5e-4
-    by_level = mc_simulator._simulate_block(
-        model, dataclasses.replace(domain, outside=None), starts, T, dt, 9, 0
+    by_level = dataclasses.replace(
+        domain, outside=lambda X: geometry.signed_level(domain, X) > 0.0
     )
+    by_level = mc_simulator._simulate_block(model, by_level, starts, T, dt, 9, 0)
     calls = []
     real_level = mc_simulator.signed_level
     with pytest.MonkeyPatch.context() as mp:
@@ -676,8 +681,9 @@ def test_ball_exit_test_stops_every_path_where_the_level_does():
     assert steps[exited].min() < mc_simulator.WINDOW < steps[exited].max()
 
 
-# The simulator reads a domain's level only, so a domain built for it alone
-# leaves the boundary operations as placeholders.
+# The simulator reads a domain's level (at the start point) and its exit
+# test only, so a domain built for it alone leaves the boundary operations as
+# placeholders.
 SIMULATOR_ONLY = dict(
     bounding_radius=np.inf,
     inner_radius=np.inf,
@@ -696,6 +702,7 @@ def _whole_space(n):
         level_fn=lambda x: np.sum(np.asarray(x, dtype=float) * 0.0, axis=-1) - 1.0,
         gradient_fn=lambda x: np.zeros(n),
         hessian_fn=lambda x: np.zeros((n, n)),
+        outside=lambda X: np.zeros(len(X), dtype=bool),
         **SIMULATOR_ONLY,
     )
 
@@ -723,6 +730,7 @@ def test_overflow_with_finite_level_counts_as_nonfinite():
         level_fn=lambda x: np.full(np.shape(x)[:-1], -1.0),
         gradient_fn=lambda x: np.zeros(1),
         hessian_fn=lambda x: np.zeros((1, 1)),
+        outside=lambda X: np.zeros(len(X), dtype=bool),
         **SIMULATOR_ONLY,
     )
     model = sde_model.outward(1, rate=50.0)

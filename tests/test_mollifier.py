@@ -4,42 +4,52 @@ import os
 import subprocess
 import sys
 import weakref
-from math import gamma, pi
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import stats
 
 from conftest import _assert_no_child_left, _on_cpus, forking
 from viability import generator_probe, geometry, mollifier, sde_model
+from viability.errors import ToleranceNotMet
 
 # Frozen values of the unit-ball integral of exp(-1/(1-|u|^2)), computed by
-# adaptive radial quadrature (n <= 3) and by the scrambled Sobol volume
-# estimate that normalization_constant uses above 3-D,
-# _unit_bump_integral_qmc(4) (n = 4).
+# the adaptive radial quadrature that normalization_constant uses,
+# mollifier._unit_bump_integral(n).
 I1 = 0.4439938161680794
 I2 = 0.46651239317833
 I3 = 0.44108888727660434
-I4 = 0.3829012943954625
+I4 = 0.3829755849984719
 
 
 def test_unit_bump_integral_pins():
-    """The frozen I_n are bit for bit the adaptive radial quadrature
-    I_n = surf(S^{n-1}) * int_0^1 r^{n-1} exp(-1/(1-r^2)) dr."""
-    for n, pin in ((1, I1), (2, I2), (3, I3)):
-        surf = 2.0 * pi ** (n / 2.0) / gamma(n / 2.0)
-        val, err = integrate.quad(
-            lambda r: r ** (n - 1) * np.exp(-1.0 / (1.0 - r * r)),
-            0.0,
-            1.0,
-            epsabs=1e-14,
-            epsrel=1e-13,
-        )
-        assert err <= 1e-10 * val
-        assert surf * val == mollifier.UNIT_BUMP_INTEGRAL[n] == pin
+    """The radial quadrature I_n = surf(S^{n-1}) * int_0^1 r^{n-1}
+    exp(-1/(1-r^2)) dr gives the pins bit for bit, and UNIT_BUMP_INTEGRAL
+    holds its values up to 3-D."""
+    for n, pin in ((1, I1), (2, I2), (3, I3), (4, I4)):
+        assert mollifier._unit_bump_integral(n) == pin
+    assert mollifier.UNIT_BUMP_INTEGRAL == {1: I1, 2: I2, 3: I3}
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_unit_bump_integral_matches_closed_form(n):
+    """I_n = pi^(n/2) U(n/2, 0, 1) / e, with U the confluent hypergeometric
+    function of the second kind, evaluated at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        half = mpmath.mpf(n) / 2
+        exact = mpmath.pi**half * mpmath.hyperu(half, 0, 1) / mpmath.e
+        gap = abs(mpmath.mpf(mollifier._unit_bump_integral(n)) / exact - 1)
+    assert gap <= 1e-14
+
+
+def test_unit_bump_integral_refuses_a_loose_quadrature(monkeypatch):
+    monkeypatch.setattr("scipy.integrate.quad", lambda *args, **kwargs: (0.4, 1e-9))
+    with pytest.raises(ToleranceNotMet, match="n=4"):
+        mollifier._unit_bump_integral(4)
 
 
 def test_normalization_constant_one_dimensional_pin():
@@ -56,9 +66,16 @@ def test_normalization_constant_scaling_in_eps():
         assert small == pytest.approx(big * 2.0**n, rel=1e-13)
 
 
-def test_normalization_constant_qmc_dimension_four():
+def test_normalization_constant_dimension_four():
     c4 = mollifier.normalization_constant(4, 1.0)
     assert c4 == 1.0 / I4
+
+
+def test_normalization_constant_seven_dimensions():
+    """The quadrature serves every dimension: n = 7 gets 2^7 / I_7 at
+    eps = 1/2."""
+    c7 = mollifier.normalization_constant(7, 0.5)
+    assert c7 == 2.0**7 / mollifier._unit_bump_integral(7)
 
 
 IMPORT_PATH_SCRIPT = """
@@ -67,16 +84,18 @@ import viability, viability.cli_runner
 from viability import mollifier
 assert "scipy.integrate" not in sys.modules
 assert "scipy.stats" not in sys.modules
+mollifier.normalization_constant(3, 0.5)
+assert "scipy.integrate" not in sys.modules
 c4 = mollifier.normalization_constant(4, 0.5)
-assert "scipy.stats.qmc" in sys.modules
+assert "scipy.integrate" in sys.modules
 print(repr(float(c4)))
 """
 
 
 def test_import_loads_neither_scipy_integrate_nor_stats():
     """Importing the package leaves scipy.integrate and scipy.stats unloaded;
-    the quasi-random path above 3 dimensions loads scipy.stats.qmc on demand
-    and gives the same constant as before."""
+    so do the frozen constants up to 3-D, and the radial quadrature above
+    loads scipy.integrate on demand and gives the pinned constant."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(
@@ -84,8 +103,8 @@ def test_import_loads_neither_scipy_integrate_nor_stats():
         env=env, capture_output=True, text=True, check=False,
     )
     assert done.returncode == 0, done.stderr
-    # 1 / (I_4 eps^4) with the Sobol estimate I_4 = 0.3829012943954625
-    assert float(done.stdout) == 41.78622593914534
+    # 1 / (I_4 eps^4) at eps = 1/2
+    assert float(done.stdout) == 16.0 / I4
 
 
 def test_normalization_constant_rejects_bad_input():
@@ -103,6 +122,14 @@ def test_lattice_mass_cross_checks_normalization(n, tol):
     behind c_eps. The two quadratures share no code path."""
     spec = mollifier.make_spec(n, 0.25)
     assert abs(mollifier.lattice_mass(spec, 64) - 1.0) < tol
+
+
+@pytest.mark.parametrize("n,nodes", [(4, 24), (5, 16)])
+def test_lattice_mass_cross_checks_normalization_above_three_dimensions(n, nodes):
+    """The lattice cross-check where the constant is computed, not frozen:
+    coarser lattices on a larger eps keep the window small."""
+    spec = mollifier.make_spec(n, 0.5)
+    assert abs(mollifier.lattice_mass(spec, nodes) - 1.0) <= 5e-5
 
 
 def _reference_lattice_mass(spec, nodes_per_axis, x):
