@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -27,7 +28,6 @@ from importlib import metadata
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import generator_probe, geometry, mc_simulator, mollifier, sde_model, theorem_checker
 from .errors import ConfigError, ViabilityError
@@ -225,6 +225,12 @@ def load_config(path) -> dict:
     return resolve_config(raw)
 
 
+@functools.cache
+def _scipy_version() -> str:
+    """scipy's version for the report, read once and without importing scipy."""
+    return metadata.version("scipy")
+
+
 def _package_version() -> str:
     try:
         return metadata.version("artifact")
@@ -382,7 +388,7 @@ def run(
         "versions": {
             "artifact": _package_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _scipy_version(),
         },
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }

@@ -14,7 +14,10 @@ whole columns. exit_probability and final_states run their paths on every CPU
 in the process's affinity mask through sharding.split_rows (_simulate_rows),
 so estimates are bit-identical for any CPU count. Path i replays alone as a
 one-row _simulate_block(model, domain, x[None], T, dt, seed, i), which matches
-row i of any batch bit for bit by construction.
+row i of any batch bit for bit by construction. A model with no noise channels
+has no stream, so its paths are its starts' alone: _simulate_rows runs each
+distinct start once and gives its arrays to every row that shares it. The
+tiled x0 of exit_probability is then one path, and its stage forks nothing.
 """
 
 from __future__ import annotations
@@ -186,11 +189,22 @@ def _simulate_rows(model, domain, starts, T, dt, seed):
     sharding.split_rows cuts the rows into ranges, and each range runs
     _simulate_block over blocks of at most BLOCK paths. Row i keeps path
     index i wherever it runs, so the result is bit-identical for any CPU
-    count; no rows give empty arrays, call no model and fork nothing.
+    count; no rows give empty arrays, call no model and fork nothing. A
+    model with no noise channels (k = 0) runs each distinct start once, in
+    the order of np.unique: with no stream, a row's path index moves none of
+    its bits.
     """
     if not len(starts):  # nothing to simulate and nothing to fork
         _n_steps(T, dt)
         return [starts.copy(), np.zeros(0, int), np.zeros(0, bool), np.zeros(0, bool)]
+    back = None
+    if not model.diffusion(0.0, starts[:1]).shape[-1]:
+        # distinct by bits, so 0.0 and -0.0 stay apart; back scatters each
+        # distinct start's arrays to every row that shares it
+        rows = np.ascontiguousarray(starts)
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        _, first, back = np.unique(keys, return_index=True, return_inverse=True)
+        starts = rows[first]
 
     def run(a, b):
         parts = [
@@ -199,7 +213,8 @@ def _simulate_rows(model, domain, starts, T, dt, seed):
         ]
         return [np.concatenate(arrays) for arrays in zip(*parts)]
 
-    return sharding.split_rows(run, len(starts))
+    results = sharding.split_rows(run, len(starts))
+    return results if back is None else [a[back] for a in results]
 
 
 def exit_probability(

@@ -4,8 +4,8 @@ Two boundary conditions are estimated on sampled offset surfaces S_eps and
 decided by explicit finite rules:
 
 - tangency: sup over noise channels and boundary samples of |b_j . nu| must
-  vanish faster than eps (decided by a log-log slope fit plus an absolute
-  threshold at the smallest eps);
+  vanish faster than eps (decided by sup <= delta_abs * eps at every eps, or
+  by a log-log slope fit plus that threshold at the smallest eps);
 - inward pressure: the drift projected on the outward normal, corrected by
   -1/2 sum_k nu^T (Db_k) b_k, must stay below a negative margin as eps shrinks.
 
@@ -275,17 +275,19 @@ def condition2_verdict(
 ) -> str:
     """Decide whether the tangency profile behaves like o(eps).
 
-    holds: every sup is at most delta_abs (identically tangent case), or the
-    log-log least-squares slope is at least p_min and sup/eps at the smallest
-    eps is at most delta_abs. fails: sup/eps stays at or above delta_abs and
-    does not decrease as eps shrinks. Anything else is inconclusive.
+    holds: every sup is at most delta_abs * eps at its own eps (the tangent
+    case, sup/eps at most delta_abs throughout), or the log-log least-squares
+    slope is at least p_min and sup/eps at the smallest eps is at most
+    delta_abs. fails: sup/eps stays at or above delta_abs and does not
+    decrease as eps shrinks. Anything else is inconclusive. A sup that stays
+    at a small constant is not tangent: its sup/eps grows as eps shrinks.
     """
     sup = np.asarray(profile, dtype=float)
     eps = np.asarray(eps_grid, dtype=float)
     if sup.shape != eps.shape or sup.size < 3:
         raise ValueError("profile and eps_grid must align with >= 3 entries")
 
-    if np.all(sup <= delta_abs):
+    if np.all(sup <= delta_abs * eps):
         return VERDICT_HOLDS
 
     ratio = sup / eps

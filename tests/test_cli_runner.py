@@ -3,9 +3,13 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+import scipy
 
 from viability import cli_runner
 from viability.errors import ConfigError
@@ -490,3 +494,54 @@ def test_verdicts_by_subcommand(tmp_path, cfg, subcommand, code, verdict):
     report, got = cli_runner.run(config, subcommand, out_dir=out)
     assert (got, report["exit_code"], report["verdict"]) == (code, code, verdict)
     assert report["files"] == sorted(path.name for path in out.iterdir())
+
+
+# Two leaky models (ROADMAP item 1) whose noise has a nonvanishing normal part
+# on the boundary, so condition 2 must not hold. The first is the linear
+# family with a constant normal noise 0.04, whose sup/eps grows 0.2 -> 1.6
+# over the eps grid; no path exits, so full refutes the prediction. The
+# second is the rotational family on a disk off its centre, whose normal
+# noise on the boundary is 0.002 sin(theta); its sweep decides nothing.
+LEAKY_LINEAR = {
+    "model": {"family": "linear", "A": [[-0.01, 0.0], [0.0, -0.01]], "d": [[0.04, 0.0], [0.0, 0.04]]},
+    "domain": BALL_2D,
+    "check": {"samples_per_eps": 40, "regularity_pairs": 40},
+    "probe": {"n_points": 40},
+    "sim": {"x0": [0.0, 0.0], "T": 1.0, "dt": 0.01, "n_paths": 2000, "p_max": 0.01},
+}
+LEAKY_ROTATIONAL = {
+    "model": {"family": "rotational", "spin": 0.1, "inward_rate": 1.0},
+    "domain": {"kind": "ball", "center": [0.02, 0.0], "radius": 1.0},
+    "probe": {"n_points": 40},
+}
+
+
+@pytest.mark.parametrize(
+    "cfg,code,verdict,cond2",
+    [
+        pytest.param(LEAKY_LINEAR, 1, "not_predicted_observed", "fails", id="leaky-linear"),
+        pytest.param(LEAKY_ROTATIONAL, 2, "inconclusive", "inconclusive", id="leaky-rotational"),
+    ],
+)
+def test_leaky_models_are_not_called_invariant(tmp_path, cfg, code, verdict, cond2):
+    config = write_config(tmp_path, cfg)
+    assert cli_runner.main(["full", "--config", config, "--out", str(tmp_path)]) == code
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert report["verdict"] == verdict
+    assert report["conditions"]["cond2_verdict"] == cond2
+    assert report["conditions"]["invariance_predicted"] is False
+    assert report["exit"]["n_exits"] == 0
+
+
+def test_importing_the_cli_leaves_scipy_unimported(tmp_path):
+    """The report reads scipy's version from the installed metadata, so
+    importing the CLI does not import scipy, and the version is scipy's own."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, viability.cli_runner; print('scipy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+    report, _ = cli_runner.run(write_config(tmp_path, rotational_config()), "check", out_dir=tmp_path)
+    assert report["versions"]["scipy"] == scipy.__version__

@@ -291,7 +291,8 @@ def test_sharded_paths_are_bit_identical_for_any_cpu_count(monkeypatch, block):
     """1, 2 or 3 CPUs give the same per-path outcomes and estimates: a horizon
     over WINDOW steps (states saved across windows), exits on both sides of a
     window boundary, overflowing paths, and a path count that is not a
-    multiple of the block or of the CPU count."""
+    multiple of the block or of the CPU count. The model has noise channels,
+    so its repeated starts are distinct paths and still split over the CPUs."""
     monkeypatch.setattr(mc_simulator, "BLOCK", block)
     model, domain = _leaky_model(), geometry.ball([0.0, 0.0], 1.0)
     n_paths, T, dt, seed = 31, 0.4, 2.5e-4, 31
@@ -846,3 +847,57 @@ def test_no_start_points_give_no_final_states(monkeypatch):
     assert finals.shape == (0, 2)
     assert not forks
 
+
+def _refuse_fork():
+    raise AssertionError("a noise-free stage forked")
+
+
+@pytest.mark.parametrize("with_domain", [False, True])
+def test_noise_free_rows_run_each_distinct_start_once(monkeypatch, with_domain):
+    """An outward drift with no noise channels (ou_inward at a negative
+    rate): _simulate_rows runs each distinct start once, and every row gets
+    what a one-row _simulate_block from its start gives, bit for bit:
+    repeated starts, starts that differ only in the sign of a zero, and a
+    start whose first step overflows."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    real_block, block_rows = mc_simulator._simulate_block, []
+
+    def counting_block(model, domain, starts, *args):
+        block_rows.append(len(starts))
+        return real_block(model, domain, starts, *args)
+
+    monkeypatch.setattr(mc_simulator, "_simulate_block", counting_block)
+    model = sde_model.ou_inward(2, rate=-10.0)
+    domain = geometry.ball([0.0, 0.0], 1.0) if with_domain else None
+    starts = np.array(
+        [[0.5, 0.0], [1.7e308, 0.0], [0.5, 0.0], [0.0, 0.0], [-0.0, 0.0],
+         [0.5, -0.0], [0.0, 0.0], [1.7e308, 0.0], [0.5, 0.0]]
+    )
+    T, dt, seed = 1.0, 0.01, 3
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = mc_simulator._simulate_rows(model, domain, starts, T, dt, seed)
+        alone = [real_block(model, domain, x[None], T, dt, seed, i) for i, x in enumerate(starts)]
+    assert block_rows == [5]
+    for i, one in enumerate(alone):
+        assert [a[i].tobytes() for a in got] == [a[0].tobytes() for a in one]
+    states, steps, exited, nonfinite = got
+    assert nonfinite.tolist() == [False, True] + [False] * 5 + [True, False]
+    assert steps[1] == 1
+    assert exited[0] == with_domain and not exited[3:5].any()
+    assert np.signbit(states[4, 0]) and not np.signbit(states[3, 0])
+    assert np.signbit(states[5, 1]) and not np.signbit(states[0, 1])
+
+
+@forking
+def test_noise_free_exit_probability_forks_nothing(monkeypatch):
+    """ou_inward's 2000 paths from one start are one path: on two CPUs the
+    estimate forks nothing, whether no path exits or every path does."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    model, domain = sde_model.ou_inward(2), geometry.ellipsoid([0.0, 0.0], [1.0, 0.7])
+    est = mc_simulator.exit_probability(model, domain, [0.5, 0.0], 1.0, 1e-3, 2000, seed=7)
+    assert (est.n_paths, est.n_exits, est.n_nonfinite) == (2000, 0, 0)
+    est = mc_simulator.exit_probability(
+        sde_model.ou_inward(2, rate=-1.0), domain, [0.5, 0.0], 1.0, 1e-3, 2000, seed=7
+    )
+    assert (est.n_paths, est.n_exits, est.n_nonfinite) == (2000, 2000, 0)

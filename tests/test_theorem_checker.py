@@ -54,10 +54,11 @@ def test_condition2_verdict_all_below_threshold_holds():
         theorem_checker.condition2_verdict([1e-14, 2e-15, 0.0], (0.2, 0.1, 0.05))
         == VERDICT_HOLDS
     )
-    # absolute branch: small but nonvanishing sups still count as tangent
+    # a small constant sup is not tangent: sup/eps grows 0.2 -> 0.8, past
+    # delta_abs = 0.05 at every eps, and does not decrease
     assert (
         theorem_checker.condition2_verdict([0.04, 0.04, 0.04], (0.2, 0.1, 0.05))
-        == VERDICT_HOLDS
+        == VERDICT_FAILS
     )
 
 
